@@ -1,11 +1,15 @@
 """Multi-pass restoration engine for mask-marked defects.
 
 Filling proceeds in Jacobi rounds: every still-missing pixel is
-predicted from the previous round's state only, and all predictions are
-committed at once. Results are therefore independent of pixel visitation
-order and of how a round's work is split across threads. Pixels that
-never acquire a complete predictor line (deep hole interiors) are
-finished by a growing-window mean fallback.
+predicted from the previous round's state only, and a round is committed
+in place only after all of its predictions are made. Results are
+therefore independent of pixel visitation order and of how a round's
+work is split across threads. Since a hole's predictors depend only on
+which of its 16 line pixels are missing, a round after the first
+re-predicts only the holes whose stencil the round before changed; the
+rest are still unfillable. Pixels that never acquire a complete
+predictor line (deep hole interiors) are finished by a growing-window
+mean fallback.
 
 Per missing pixel and channel, up to six candidate values are averaged:
 four directional line predictions (horizontal, vertical, main diagonal,
@@ -253,6 +257,28 @@ def _predict_many(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, col
     return predicted, fillable
 
 
+def _fill_round(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                clamp_range: tuple[float, float], pool: ThreadPoolExecutor, workers: int) -> np.ndarray:
+    """Predict the given missing coordinates from the current state, then
+    commit the fillable ones into ``values`` in place.
+
+    Every prediction is made before anything is written, so the round
+    keeps Jacobi semantics however its work is split across ``workers``.
+    ``missing`` is not modified. Returns the boolean fillable set over the
+    given coordinates.
+    """
+    if workers <= 1 or rows.size < 2 * workers:
+        parts = [(rows, cols, *_predict_many(values, missing, rows, cols))]
+    else:
+        chunks = list(zip(np.array_split(rows, workers), np.array_split(cols, workers)))
+        futures = [pool.submit(_predict_many, values, missing, r, c) for r, c in chunks]
+        parts = [(r, c, *f.result()) for (r, c), f in zip(chunks, futures)]
+    lo, hi = clamp_range
+    for r, c, predicted, fillable in parts:
+        values[r[fillable], c[fillable]] = np.clip(predicted[fillable], lo, hi)
+    return np.concatenate([fillable for *_, fillable in parts])
+
+
 def run_pass(values: np.ndarray, missing: np.ndarray, config: EngineConfig | None = None, workers: int = 1):
     """One Jacobi fill round over the current missing set.
 
@@ -267,32 +293,54 @@ def run_pass(values: np.ndarray, missing: np.ndarray, config: EngineConfig | Non
     if squeeze:
         values = values[:, :, np.newaxis]
     new_values = values.copy()
-    filled = np.zeros(missing.shape, dtype=bool)
     rows, cols = np.nonzero(missing)
-    if rows.size == 0:
-        return (new_values[:, :, 0] if squeeze else new_values), filled
-
-    if workers <= 1 or rows.size < 2 * workers:
-        results = [(rows, cols, *_predict_many(values, missing, rows, cols))]
-    else:
-        row_chunks = np.array_split(rows, workers)
-        col_chunks = np.array_split(cols, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_predict_many, values, missing, r, c)
-                for r, c in zip(row_chunks, col_chunks)
-            ]
-            results = [
-                (r, c, *f.result())
-                for (r, c), f in zip(zip(row_chunks, col_chunks), futures)
-            ]
-
-    lo, hi = config.clamp_range
-    for r, c, predicted, fillable in results:
-        committed = np.clip(predicted[fillable], lo, hi)
-        new_values[r[fillable], c[fillable]] = committed
-        filled[r[fillable], c[fillable]] = True
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+        fillable = _fill_round(new_values, missing, rows, cols, config.clamp_range, pool, workers)
+    filled = np.zeros(missing.shape, dtype=bool)
+    filled[rows[fillable], cols[fillable]] = True
     return (new_values[:, :, 0] if squeeze else new_values), filled
+
+
+def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, config: EngineConfig, workers: int):
+    """Run fill rounds over ``values`` in place until one fills nothing,
+    no hole remains, or ``config.max_passes`` rounds have run.
+
+    Returns (fill counts per round, the residual missing set). A hole's
+    slot availability depends only on the missing state of its 16
+    NEIGHBOR_OFFSETS pixels, so a hole that a round left unfilled can
+    become fillable only once one of those pixels is filled. Each round
+    after the first therefore re-predicts just the remaining holes next
+    to a pixel that the round before filled; when there are none, the
+    round fills 0 and ends the loop. The holes are kept as a compacted
+    list of flat indices into a grid padded by 2 on every side, so
+    neighbour offsets need no bounds checks.
+    """
+    height, width = degraded.shape
+    stride = width + 4
+    padded = np.zeros((height + 4, stride), dtype=bool)
+    padded[2:-2, 2:-2] = degraded
+    missing = padded[2:-2, 2:-2]
+    missing_at = padded.ravel()
+    near_filled = np.zeros_like(missing_at)
+    offsets = [dr * stride + dc for dr, dc in NEIGHBOR_OFFSETS]
+    holes = np.flatnonzero(missing_at)
+    candidates = holes
+    fill_counts: list[int] = []
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+        while holes.size and len(fill_counts) < config.max_passes:
+            rows, cols = np.divmod(candidates, stride)
+            fillable = _fill_round(values, missing, rows - 2, cols - 2, config.clamp_range, pool, workers)
+            done = candidates[fillable]
+            fill_counts.append(done.size)
+            if done.size == 0:
+                break
+            missing_at[done] = False
+            holes = holes[missing_at[holes]]
+            for off in offsets:
+                near_filled[done - off] = True
+            candidates = holes[near_filled[holes]]
+            near_filled[candidates] = False
+    return fill_counts, missing
 
 
 def _integral(plane: np.ndarray) -> np.ndarray:
@@ -345,21 +393,11 @@ def inpaint_report(image: Image, mask: Mask, config: EngineConfig | None = None,
     config = config or EngineConfig()
     require_same_grid(image, mask)
     values = image.data.copy()
-    missing = mask.degraded.copy()
-    passes = 0
-    fill_counts: list[int] = []
-    while missing.any() and passes < config.max_passes:
-        values, filled = run_pass(values, missing, config, workers=workers)
-        passes += 1
-        n_filled = int(filled.sum())
-        fill_counts.append(n_filled)
-        if n_filled == 0:
-            break
-        missing &= ~filled
+    fill_counts, missing = _jacobi_rounds(values, mask.degraded, config, workers)
     fallback_count = _fallback_fill(values, missing, config)
     return InpaintReport(
         image=Image(values),
-        passes=passes,
+        passes=len(fill_counts),
         pass_fill_counts=tuple(fill_counts),
         fallback_filled=fallback_count,
     )

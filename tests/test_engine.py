@@ -3,18 +3,23 @@ invariants, with brute-force enumeration oracles for availability."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linemend import (
     EngineConfig,
     Image,
+    LineSpec,
     Mask,
     gather_neighborhood,
+    generate_line_mask,
     inpaint,
     inpaint_report,
     predict_pixel,
     replace_most_deviant,
     run_pass,
 )
+from linemend.engine import _fallback_fill, _predict_many
 from linemend.kernels import DIRECTION_VECTORS, NEIGHBOR_OFFSETS
 
 
@@ -157,9 +162,30 @@ def test_run_pass_single_pixel():
 
 def test_run_pass_empty_missing_is_identity():
     img = affine_image(6, 6)
-    new_values, filled = run_pass(img.data, np.zeros((6, 6), bool))
+    new_values, filled = run_pass(img.data, np.zeros((6, 6), bool), workers=2)
     assert not filled.any()
     assert np.array_equal(new_values, img.data)
+    assert new_values is not img.data
+
+
+def test_predict_many_zero_holes():
+    values = affine_image(6, 6, channels=3).data
+    none = np.zeros(0, dtype=np.int64)
+    predicted, fillable = _predict_many(values, np.zeros((6, 6), bool), none, none)
+    assert predicted.shape == (0, 3)
+    assert fillable.shape == (0,)
+
+
+def test_run_pass_leaves_arguments_unmodified():
+    rng = np.random.default_rng(11)
+    values = rng.uniform(0.0, 255.0, (20, 20, 3))
+    missing = rng.random((20, 20)) < 0.3
+    values_before, missing_before = values.copy(), missing.copy()
+    new_values, filled = run_pass(values, missing, workers=2)
+    assert filled.any()
+    assert np.array_equal(values, values_before)
+    assert np.array_equal(missing, missing_before)
+    assert not np.array_equal(new_values, values)
 
 
 def test_run_pass_three_wide_band_fills_nothing():
@@ -230,6 +256,80 @@ def test_run_pass_worker_count_bit_identical():
 
 
 # -------------------------------------------------------------- inpaint
+
+
+def reference_report(image, mask, config, workers):
+    """inpaint_report's contract, spelled out as a loop over the public
+    run_pass: full rounds until one fills nothing, no hole remains or the
+    pass cap is reached, then the fallback."""
+    values = image.data.copy()
+    missing = mask.degraded.copy()
+    fills = []
+    while missing.any() and len(fills) < config.max_passes:
+        values, filled = run_pass(values, missing, config, workers=workers)
+        fills.append(int(filled.sum()))
+        if fills[-1] == 0:
+            break
+        missing &= ~filled
+    fallback = _fallback_fill(values, missing, config)
+    return values, tuple(fills), fallback
+
+
+@st.composite
+def masked_images(draw):
+    """Random images under either i.i.d. holes or 1-3 scratches of width
+    1-4; both reach the image border."""
+    height = draw(st.integers(16, 28))
+    width = draw(st.integers(16, 28))
+    channels = draw(st.sampled_from([1, 3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        spec = LineSpec(count=draw(st.integers(1, 3)), width=draw(st.integers(1, 4)), seed=seed)
+        mask = generate_line_mask(width, height, spec)
+    else:
+        density = draw(st.floats(0.05, 0.6))
+        mask = Mask(np.random.default_rng(seed).random((height, width)) < density)
+    values = np.random.default_rng([seed, 1]).uniform(0.0, 255.0, (height, width, channels))
+    return Image(values), mask
+
+
+def creeping_band():
+    """A 16x48 image with one nearly axis-aligned width-2 scratch, which the
+    predictor fills a few pixels per pass for 23 passes."""
+    values = np.random.default_rng(1).uniform(0.0, 255.0, (16, 48, 1))
+    return Image(values), generate_line_mask(48, 16, LineSpec(count=1, width=2, seed=19))
+
+
+def test_creeping_band_hits_low_pass_cap():
+    image, mask = creeping_band()
+    _, fills, fallback = reference_report(image, mask, EngineConfig(max_passes=8), workers=1)
+    assert len(fills) == 8 and min(fills) > 0
+    assert fallback > 0
+
+
+@settings(max_examples=80, deadline=None)
+@example(case=creeping_band(), max_passes=8, workers=2)
+@given(case=masked_images(), max_passes=st.sampled_from([1, 2, 64]), workers=st.sampled_from([1, 2]))
+def test_inpaint_report_matches_run_pass_loop(case, max_passes, workers):
+    image, mask = case
+    config = EngineConfig(max_passes=max_passes)
+    values, fills, fallback = reference_report(image, mask, config, workers)
+    report = inpaint_report(image, mask, config, workers=workers)
+    assert report.image.data.tobytes() == values.tobytes()
+    assert report.passes == len(fills)
+    assert report.pass_fill_counts == fills
+    assert report.fallback_filled == fallback
+
+
+def test_inpaint_report_leaves_inputs_unmodified():
+    rng = np.random.default_rng(12)
+    image = Image(rng.uniform(0.0, 255.0, (24, 24, 3)))
+    mask = Mask(rng.random((24, 24)) < 0.3)
+    data_before, degraded_before = image.data.copy(), mask.degraded.copy()
+    report = inpaint_report(image, mask, workers=2)
+    assert report.predictor_filled > 0
+    assert np.array_equal(image.data, data_before)
+    assert np.array_equal(mask.degraded, degraded_before)
 
 
 def test_inpaint_empty_mask_identity():
