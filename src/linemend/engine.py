@@ -338,6 +338,8 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, config: EngineConfi
             holes = holes[missing_at[holes]]
             for off in offsets:
                 near_filled[done - off] = True
+            # Only flags at remaining holes are ever read, so clearing
+            # those is enough; flags left on known pixels are never seen.
             candidates = holes[near_filled[holes]]
             near_filled[candidates] = False
     return fill_counts, missing
