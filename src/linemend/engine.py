@@ -9,7 +9,8 @@ which of its 16 line pixels are missing, a round after the first
 re-predicts only the holes whose stencil the round before changed; the
 rest are still unfillable. Pixels that never acquire a complete
 predictor line (deep hole interiors) are finished by a growing-window
-mean fallback.
+mean fallback over summed-area tables that stop where the residual
+holes' largest windows end.
 
 Per missing pixel and channel, up to six candidate values are averaged:
 four directional line predictions (horizontal, vertical, main diagonal,
@@ -36,7 +37,7 @@ from .kernels import (
     upsample_center,
     vertical_selection,
 )
-from .raster import Image, Mask, require_same_grid
+from .raster import DimensionMismatch, Image, Mask, require_same_grid
 
 # Slot order: 4 directional lines, then vertical-matrix and
 # horizontal-matrix surface predictions. Availability of the vertical
@@ -283,7 +284,8 @@ def run_pass(values: np.ndarray, missing: np.ndarray, config: EngineConfig | Non
     """One Jacobi fill round over the current missing set.
 
     ``values`` is the (height, width, channels) pre-pass state and is not
-    modified; ``missing`` marks pixels still to fill. Every missing pixel
+    modified; ``missing`` marks pixels still to fill, as truth values on
+    the same grid (DimensionMismatch otherwise). Every missing pixel
     with at least one available predictor slot is committed (clamped to
     the configured range) into the returned copy. Returns
     (new_values, filled) where ``filled`` is the boolean newly-filled set.
@@ -292,6 +294,11 @@ def run_pass(values: np.ndarray, missing: np.ndarray, config: EngineConfig | Non
     squeeze = values.ndim == 2
     if squeeze:
         values = values[:, :, np.newaxis]
+    missing = np.asarray(missing, dtype=bool)
+    if missing.shape != values.shape[:2]:
+        raise DimensionMismatch(
+            f"missing has shape {missing.shape} but values have grid {values.shape[:2]}"
+        )
     new_values = values.copy()
     rows, cols = np.nonzero(missing)
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
@@ -305,7 +312,8 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, config: EngineConfi
     """Run fill rounds over ``values`` in place until one fills nothing,
     no hole remains, or ``config.max_passes`` rounds have run.
 
-    Returns (fill counts per round, the residual missing set). A hole's
+    Returns (fill counts per round, the residual missing set, and the
+    row and column indices of its pixels in row-major order). A hole's
     slot availability depends only on the missing state of its 16
     NEIGHBOR_OFFSETS pixels, so a hole that a round left unfilled can
     become fillable only once one of those pixels is filled. Each round
@@ -342,46 +350,70 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, config: EngineConfi
             # those is enough; flags left on known pixels are never seen.
             candidates = holes[near_filled[holes]]
             near_filled[candidates] = False
-    return fill_counts, missing
+    rows, cols = np.divmod(holes, stride)
+    return fill_counts, missing, rows - 2, cols - 2
 
 
 def _integral(plane: np.ndarray) -> np.ndarray:
-    out = np.zeros((plane.shape[0] + 1, plane.shape[1] + 1), dtype=np.float64)
-    out[1:, 1:] = plane.cumsum(axis=0).cumsum(axis=1)
+    """Summed-area table of ``plane`` with a zero first row and column.
+
+    The axis-0 prefix sums are accumulated row by row into the table:
+    the same sequential additions as ``cumsum(axis=0)``, without its
+    strided walk down the columns.
+    """
+    height, width = plane.shape
+    out = np.zeros((height + 1, width + 1), dtype=np.float64)
+    for r in range(height):
+        np.add(out[r, 1:], plane[r], out=out[r + 1, 1:])
+    body = out[1:, 1:]
+    np.cumsum(body, axis=1, out=body)
     return out
 
 
-def _fallback_fill(values: np.ndarray, missing: np.ndarray, config: EngineConfig) -> int:
-    """Fill residual pixels with the mean of the smallest centered odd
-    window that contains a known pixel (else 128). Mutates ``values``."""
-    rows, cols = np.nonzero(missing)
+def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                   config: EngineConfig) -> int:
+    """Fill the residual holes at (``rows``, ``cols``), which are all the
+    pixels of ``missing``, with the mean of the known pixels in the
+    smallest centered odd window that contains one (else 128).
+
+    Window sums come from summed-area tables of the known pixels. An
+    entry of such a table depends only on the rows and columns before
+    it, so the tables stop where the largest window of the lowest and of
+    the rightmost hole ends; each growing half-width looks only at the
+    holes no smaller window resolved. Mutates ``values``.
+    """
     if rows.size == 0:
         return 0
     height, width, channels = values.shape
-    known = ~missing
     lo, hi = config.clamp_range
     out = np.full((rows.size, channels), 128.0)
-    if known.any():
+    if rows.size < height * width:  # some pixel is known
+        reach = config.fallback_window_limit // 2
+        bottom = min(int(rows.max()) + reach + 1, height)
+        right = min(int(cols.max()) + reach + 1, width)
+        known = ~missing[:bottom, :right]
         count_int = _integral(known.astype(np.float64))
-        sum_ints = [_integral(values[:, :, ch] * known) for ch in range(channels)]
-        remaining = np.ones(rows.size, dtype=bool)
-        for half in range(1, config.fallback_window_limit // 2 + 1):
-            if not remaining.any():
-                break
-            r0 = np.maximum(rows - half, 0)
-            r1 = np.minimum(rows + half + 1, height)
-            c0 = np.maximum(cols - half, 0)
-            c1 = np.minimum(cols + half + 1, width)
+        sum_ints = [_integral(values[:bottom, :right, ch] * known) for ch in range(channels)]
+        pending = np.arange(rows.size)
+        for half in range(1, reach + 1):
+            r, c = rows[pending], cols[pending]
+            r0 = np.maximum(r - half, 0)
+            r1 = np.minimum(r + half + 1, height)
+            c0 = np.maximum(c - half, 0)
+            c1 = np.minimum(c + half + 1, width)
             counts = (
                 count_int[r1, c1] - count_int[r0, c1] - count_int[r1, c0] + count_int[r0, c0]
             )
-            sel = remaining & (counts > 0)
-            if sel.any():
-                for ch in range(channels):
-                    s = sum_ints[ch]
-                    sums = s[r1, c1] - s[r0, c1] - s[r1, c0] + s[r0, c0]
-                    out[sel, ch] = sums[sel] / counts[sel]
-                remaining &= ~sel
+            hit = counts > 0
+            done = pending[hit]
+            r0, r1, c0, c1, counts = r0[hit], r1[hit], c0[hit], c1[hit], counts[hit]
+            for ch in range(channels):
+                s = sum_ints[ch]
+                sums = s[r1, c1] - s[r0, c1] - s[r1, c0] + s[r0, c0]
+                out[done, ch] = sums / counts
+            pending = pending[~hit]
+            if pending.size == 0:
+                break
     values[rows, cols] = np.clip(out, lo, hi)
     return rows.size
 
@@ -395,8 +427,8 @@ def inpaint_report(image: Image, mask: Mask, config: EngineConfig | None = None,
     config = config or EngineConfig()
     require_same_grid(image, mask)
     values = image.data.copy()
-    fill_counts, missing = _jacobi_rounds(values, mask.degraded, config, workers)
-    fallback_count = _fallback_fill(values, missing, config)
+    fill_counts, missing, rows, cols = _jacobi_rounds(values, mask.degraded, config, workers)
+    fallback_count = _fallback_fill(values, missing, rows, cols, config)
     return InpaintReport(
         image=Image(values),
         passes=len(fill_counts),

@@ -3,7 +3,9 @@
 PSNR uses the whole-image MSE over all channels with peak 255. SSIM uses
 the standard 11x11 Gaussian window (sigma 1.5), K1 = 0.01, K2 = 0.03,
 dynamic range 255, averaged over valid window positions; color images
-are scored on their luminance.
+are scored on their luminance. The mean is still over all valid windows,
+but only the windows that touch a pixel where the two images differ are
+evaluated: every other window scores exactly 1.0.
 """
 
 from __future__ import annotations
@@ -46,11 +48,12 @@ def psnr(reference: Image, test: Image) -> float:
     return 10.0 * math.log10(PEAK * PEAK / mse)
 
 
-def _luminance(image: Image) -> np.ndarray:
-    if image.channels == 1:
-        return image.data[:, :, 0]
-    d = image.data
-    return 0.299 * d[:, :, 0] + 0.587 * d[:, :, 1] + 0.114 * d[:, :, 2]
+def _luminance(data: np.ndarray) -> np.ndarray:
+    # Channels are on the last axis; the weights are applied elementwise,
+    # so a pixel's luminance does not depend on which array holds it.
+    if data.shape[-1] == 1:
+        return data[..., 0]
+    return 0.299 * data[..., 0] + 0.587 * data[..., 1] + 0.114 * data[..., 2]
 
 
 def _gaussian_window() -> np.ndarray:
@@ -61,23 +64,26 @@ def _gaussian_window() -> np.ndarray:
 
 _GAUSS = _gaussian_window()
 
+# Window positions per tile of the dirty-window pass, down and across.
+# A tile's pixel patch is (16 + 10) x (22 + 10) = 26 x 32; a patch row
+# length that is a multiple of 8 keeps every vertical mean on the BLAS
+# kernel's main loop, which the whole-image pass uses for all columns of
+# an image whose width is a multiple of 8, so the two agree bit for bit.
+_TILE_H = 16
+_TILE_W = 22
+_PATCH_H = _TILE_H + _WINDOW - 1
+_PATCH_W = _TILE_W + _WINDOW - 1
+
 
 def _windowed_mean(plane: np.ndarray) -> np.ndarray:
     # Separable Gaussian-weighted mean at every fully interior (valid)
-    # window position; output is (h-10) x (w-10).
-    v = sliding_window_view(plane, _WINDOW, axis=0) @ _GAUSS
-    return sliding_window_view(v, _WINDOW, axis=1) @ _GAUSS
+    # window position of the last two axes: (..., h, w) -> (..., h-10, w-10).
+    v = sliding_window_view(plane, _WINDOW, axis=-2) @ _GAUSS
+    return sliding_window_view(v, _WINDOW, axis=-1) @ _GAUSS
 
 
-def ssim(reference: Image, test: Image) -> float:
-    """Mean structural similarity over all valid 11x11 window positions."""
-    _require_comparable(reference, test)
-    if reference.height < _WINDOW or reference.width < _WINDOW:
-        raise ValueError(
-            f"image {reference.width}x{reference.height} smaller than the {_WINDOW}x{_WINDOW} window"
-        )
-    x = _luminance(reference)
-    y = _luminance(test)
+def _ssim_map(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-window SSIM over the last two axes of two luminance arrays."""
     mu_x = _windowed_mean(x)
     mu_y = _windowed_mean(y)
     var_x = _windowed_mean(x * x) - mu_x * mu_x
@@ -85,10 +91,64 @@ def ssim(reference: Image, test: Image) -> float:
     cov = _windowed_mean(x * y) - mu_x * mu_y
     c1 = (_K1 * PEAK) ** 2
     c2 = (_K2 * PEAK) ** 2
-    score = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
+    return ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
         (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
     )
-    return float(score.mean())
+
+
+def _dirty_tiles(differs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tile indices (row, column) of the tiles whose pixel patch holds a
+    True of ``differs``, in row-major order.
+
+    Tile (i, j) covers window positions [16i, 16i+16) x [22j, 22j+22),
+    hence pixels [16i, 16i+26) x [22j, 22j+32): one whole block of the
+    tile grid plus the first 10 pixels of the next block, on each axis.
+    """
+    height, width = differs.shape
+    n_rows = -(-(height - _WINDOW + 1) // _TILE_H)
+    n_cols = -(-(width - _WINDOW + 1) // _TILE_W)
+    padded = np.zeros(((n_rows + 1) * _TILE_H, (n_cols + 1) * _TILE_W), dtype=bool)
+    padded[:height, :width] = differs
+    blocks = padded.reshape(n_rows + 1, _TILE_H, -1)
+    rows = blocks.any(axis=1)[:-1] | blocks[1:, : _WINDOW - 1].any(axis=1)
+    blocks = rows.reshape(n_rows, n_cols + 1, _TILE_W)
+    tiles = blocks.any(axis=2)[:, :-1] | blocks[:, 1:, : _WINDOW - 1].any(axis=2)
+    return np.nonzero(tiles)
+
+
+def ssim(reference: Image, test: Image) -> float:
+    """Mean structural similarity over all valid 11x11 window positions.
+
+    A window whose pixels agree in both images scores exactly 1.0, since
+    the numerator and denominator of its score are then the same float
+    expression. Only the tiles of windows that touch a differing pixel
+    are therefore evaluated, and every other window enters the mean as
+    1.0; when the dirty tiles' patches would hold more pixels than the
+    image, the whole image is scored in one piece instead.
+    """
+    _require_comparable(reference, test)
+    height, width = reference.height, reference.width
+    if height < _WINDOW or width < _WINDOW:
+        raise ValueError(
+            f"image {width}x{height} smaller than the {_WINDOW}x{_WINDOW} window"
+        )
+    ref, tst = reference.data, test.data
+    tile_r, tile_c = _dirty_tiles((ref != tst).any(axis=2))
+    if tile_r.size * _PATCH_H * _PATCH_W > height * width:
+        return float(_ssim_map(_luminance(ref), _luminance(tst)).mean())
+    # Indices past the image edge are clamped; they reach only windows
+    # past the valid grid, which are dropped below.
+    pr = np.minimum(_TILE_H * tile_r[:, None] + np.arange(_PATCH_H), height - 1)
+    pc = np.minimum(_TILE_W * tile_c[:, None] + np.arange(_PATCH_W), width - 1)
+    at = (pr[:, :, None], pc[:, None, :])
+    scores = _ssim_map(_luminance(ref[at]), _luminance(tst[at]))
+    grid_h, grid_w = height - _WINDOW + 1, width - _WINDOW + 1
+    wr = _TILE_H * tile_r[:, None, None] + np.arange(_TILE_H)[:, None]
+    wc = _TILE_W * tile_c[:, None, None] + np.arange(_TILE_W)
+    keep = (wr < grid_h) & (wc < grid_w)
+    grid = np.ones((grid_h, grid_w))
+    grid.reshape(-1)[(wr * grid_w + wc)[keep]] = scores[keep]
+    return float(grid.mean())
 
 
 def evaluate(reference: Image, test: Image) -> QualityReport:

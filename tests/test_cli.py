@@ -1,4 +1,9 @@
-"""CLI contract tests (run in-process via main)."""
+"""CLI contract tests (run in-process via main, and once as a module)."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,3 +156,16 @@ def test_sweep_lines_mode(tmp_path, small_image, capsys):
     # ordered by (param_value, seed)
     keys = [tuple(int(x) for x in row.split(",")[1:3]) for row in rows]
     assert keys == sorted(keys)
+
+
+def test_module_entry_point_help():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "linemend", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: linemend")
+    for command in ("inpaint", "degrade", "eval", "sweep"):
+        assert command in result.stdout

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linemend import (
+    DimensionMismatch,
     EngineConfig,
     Image,
     LineSpec,
@@ -188,6 +189,27 @@ def test_run_pass_leaves_arguments_unmodified():
     assert not np.array_equal(new_values, values)
 
 
+def test_run_pass_reads_missing_as_truth_values():
+    # A uint8 mask holding 2 marks the same pixels as the boolean mask;
+    # bitwise inversion of it would count them as available neighbours.
+    img = affine_image(12, 12)
+    missing = np.zeros((12, 12), bool)
+    missing[3:9, 3:9] = True
+    missing[4:8, 4:8] = False
+    want_values, want_filled = run_pass(img.data, missing)
+    got_values, got_filled = run_pass(img.data, missing.astype(np.uint8) * 2)
+    assert np.array_equal(got_filled, want_filled)
+    assert got_values.tobytes() == want_values.tobytes()
+
+
+def test_run_pass_rejects_missing_on_another_grid():
+    img = affine_image(12, 12)
+    with pytest.raises(DimensionMismatch, match=r"\(12, 13\)"):
+        run_pass(img.data, np.zeros((12, 13), bool))
+    with pytest.raises(DimensionMismatch):
+        run_pass(img.data[:, :, 0], np.zeros((12, 12, 1), bool))
+
+
 def test_run_pass_three_wide_band_fills_nothing():
     # A full-height 3-wide vertical band: every line of every band pixel
     # crosses the band or runs along it, so no predictor is available.
@@ -258,6 +280,48 @@ def test_run_pass_worker_count_bit_identical():
 # -------------------------------------------------------------- inpaint
 
 
+def _integral_oracle(plane):
+    out = np.zeros((plane.shape[0] + 1, plane.shape[1] + 1), dtype=np.float64)
+    out[1:, 1:] = plane.cumsum(axis=0).cumsum(axis=1)
+    return out
+
+
+def fallback_oracle(values, missing, config):
+    """The box-mean fallback over whole-image summed-area tables, with
+    every window size evaluated for every hole. Mutates ``values``;
+    returns the number of pixels filled."""
+    rows, cols = np.nonzero(missing)
+    if rows.size == 0:
+        return 0
+    height, width, channels = values.shape
+    known = ~missing
+    lo, hi = config.clamp_range
+    out = np.full((rows.size, channels), 128.0)
+    if known.any():
+        count_int = _integral_oracle(known.astype(np.float64))
+        sum_ints = [_integral_oracle(values[:, :, ch] * known) for ch in range(channels)]
+        remaining = np.ones(rows.size, dtype=bool)
+        for half in range(1, config.fallback_window_limit // 2 + 1):
+            if not remaining.any():
+                break
+            r0 = np.maximum(rows - half, 0)
+            r1 = np.minimum(rows + half + 1, height)
+            c0 = np.maximum(cols - half, 0)
+            c1 = np.minimum(cols + half + 1, width)
+            counts = (
+                count_int[r1, c1] - count_int[r0, c1] - count_int[r1, c0] + count_int[r0, c0]
+            )
+            sel = remaining & (counts > 0)
+            if sel.any():
+                for ch in range(channels):
+                    s = sum_ints[ch]
+                    sums = s[r1, c1] - s[r0, c1] - s[r1, c0] + s[r0, c0]
+                    out[sel, ch] = sums[sel] / counts[sel]
+                remaining &= ~sel
+    values[rows, cols] = np.clip(out, lo, hi)
+    return rows.size
+
+
 def reference_report(image, mask, config, workers):
     """inpaint_report's contract, spelled out as a loop over the public
     run_pass: full rounds until one fills nothing, no hole remains or the
@@ -271,7 +335,7 @@ def reference_report(image, mask, config, workers):
         if fills[-1] == 0:
             break
         missing &= ~filled
-    fallback = _fallback_fill(values, missing, config)
+    fallback = fallback_oracle(values, missing, config)
     return values, tuple(fills), fallback
 
 
@@ -452,6 +516,49 @@ def test_fallback_window_limit_gives_128():
     # pixels adjacent to (0,0) average it; everything farther gets 128
     assert out.data[20, 20, 0] == 128.0
     assert out.data[0, 1, 0] == 200.0
+
+
+def _check_fallback(values, missing, config):
+    want = values.copy()
+    want_count = fallback_oracle(want, missing, config)
+    got = values.copy()
+    got_count = _fallback_fill(got, missing, *np.nonzero(missing), config)
+    assert got_count == want_count
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    case=masked_images(),
+    limit=st.sampled_from([3, 5, 21]),
+    edges=st.booleans(),
+    predicted=st.booleans(),
+)
+def test_fallback_matches_whole_image_oracle(case, limit, edges, predicted):
+    image, mask = case
+    values = np.floor(image.data)
+    missing = mask.degraded.copy()
+    if edges:
+        missing[-1, :] = True
+        missing[:, -1] = True
+    config = EngineConfig(fallback_window_limit=limit)
+    if predicted:
+        # Known pixels then include non-integer predictor output.
+        values, filled = run_pass(values, missing, config)
+        missing &= ~filled
+    _check_fallback(values, missing, config)
+
+
+@pytest.mark.parametrize("limit", [3, 5, 21])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_fallback_matches_oracle_out_of_reach(limit, channels):
+    # One known pixel in the far corner of a 40x40 hole: past the window
+    # limit the value is 128; the bottom row and right column are holes.
+    values = np.random.default_rng(limit).uniform(0.0, 255.0, (40, 40, channels))
+    missing = np.ones((40, 40), bool)
+    missing[0, 0] = False
+    _check_fallback(values, missing, EngineConfig(fallback_window_limit=limit))
+    _check_fallback(values, np.ones((40, 40), bool), EngineConfig(fallback_window_limit=limit))
 
 
 def test_engine_config_validation():

@@ -4,8 +4,48 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
-from linemend import DimensionMismatch, Image, evaluate, psnr, ssim
+from linemend import (
+    DimensionMismatch,
+    Image,
+    LineSpec,
+    apply_mask,
+    evaluate,
+    generate_line_mask,
+    inpaint,
+    psnr,
+    ssim,
+)
+
+
+def ssim_oracle(reference, test):
+    """Whole-image SSIM: every valid 11x11 window scored, then averaged."""
+    def luminance(d):
+        if d.shape[2] == 1:
+            return d[:, :, 0]
+        return 0.299 * d[:, :, 0] + 0.587 * d[:, :, 1] + 0.114 * d[:, :, 2]
+
+    i = np.arange(11) - 5.0
+    g = np.exp(-(i * i) / (2.0 * 1.5 * 1.5))
+    g = g / g.sum()
+
+    def windowed_mean(plane):
+        v = sliding_window_view(plane, 11, axis=0) @ g
+        return sliding_window_view(v, 11, axis=1) @ g
+
+    x, y = luminance(reference.data), luminance(test.data)
+    mu_x, mu_y = windowed_mean(x), windowed_mean(y)
+    var_x = windowed_mean(x * x) - mu_x * mu_x
+    var_y = windowed_mean(y * y) - mu_y * mu_y
+    cov = windowed_mean(x * y) - mu_x * mu_y
+    c1, c2 = (0.01 * 255.0) ** 2, (0.03 * 255.0) ** 2
+    score = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
+        (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+    )
+    return float(score.mean())
 
 
 def test_psnr_identical_is_inf():
@@ -106,3 +146,54 @@ def test_evaluate_report():
     report = evaluate(a, a)
     assert report.psnr_db == math.inf
     assert report.ssim == 1.0
+
+
+@st.composite
+def image_pairs(draw):
+    """A random image and a copy that differs under a random mask, from
+    empty (or a few pixels) to full, optionally also along the last row
+    and column."""
+    # Up to 160 so that a few dirty tiles stay cheaper than the image.
+    height = draw(st.integers(11, 160))
+    width = draw(st.integers(11, 160))
+    channels = draw(st.sampled_from([1, 3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    reference = np.floor(rng.uniform(0.0, 256.0, (height, width, channels)))
+    if draw(st.booleans()):
+        differs = np.zeros((height, width), bool)
+        differs.flat[rng.choice(height * width, draw(st.integers(0, 4)), replace=False)] = True
+    else:
+        differs = rng.random((height, width)) < draw(st.sampled_from([0.01, 0.05, 0.3, 1.0]))
+    if draw(st.booleans()):
+        differs[-1, rng.integers(width)] = True
+        differs[rng.integers(height), -1] = True
+    test = reference.copy()
+    test[differs] = rng.uniform(0.0, 255.0, (int(differs.sum()), channels))
+    return Image(reference), Image(test), differs.any()
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=image_pairs())
+def test_ssim_matches_whole_image_oracle(pair):
+    reference, test, differs = pair
+    got = ssim(reference, test)
+    assert abs(got - ssim_oracle(reference, test)) <= 1e-12
+    if not differs:
+        assert got == 1.0
+
+
+def test_ssim_unrelated_images_equal_oracle():
+    # Every window differs, so the whole image is scored in one piece.
+    rng = np.random.default_rng(30)
+    a = Image(rng.uniform(0.0, 255.0, (96, 120, 3)))
+    b = Image(rng.uniform(0.0, 255.0, (96, 120, 3)))
+    assert ssim(a, b) == ssim_oracle(a, b)
+
+
+def test_ssim_width_sweep_cells_equal_oracle(natural512):
+    for width in range(1, 16):
+        for seed in (0, 1):
+            mask = generate_line_mask(512, 512, LineSpec(count=2, width=width, seed=seed))
+            restored = inpaint(apply_mask(natural512, mask), mask)
+            assert ssim(natural512, restored) == ssim_oracle(natural512, restored), (width, seed)
