@@ -1,34 +1,16 @@
 """Restoration of line-type image defects by aggregated cubic predictions.
 
 The engine fills mask-marked pixels by averaging up to six candidates per
-pixel: four directional cubic-fit line predictions and two bicubic surface
-centers built from flared ("hyperbolic") 12-pixel selections. A seeded
-scratch generator and PSNR/SSIM scoring round out the evaluation pipeline.
+pixel, one per row of the stencil table in ``linemend.kernels``: four
+directional cubic-fit line predictions and two bicubic surface centers,
+each a fixed weighting of four line pixels. A seeded scratch generator
+and PSNR/SSIM scoring round out the evaluation pipeline.
 """
 
 from .degrade import LineSpec, apply_mask, generate_line_mask
-from .engine import (
-    EngineConfig,
-    InpaintReport,
-    Neighborhood,
-    PredictionBundle,
-    gather_neighborhood,
-    inpaint,
-    inpaint_report,
-    predict_pixel,
-    replace_most_deviant,
-    run_pass,
-)
-from .kernels import (
-    HyperbolicPair,
-    build_hyperbolic_matrices,
-    cubic_conv_weight,
-    midpoint_upsample,
-    predict_2d_center,
-    predict_line_center,
-    upsample_center,
-)
-from .metrics import QualityReport, evaluate, psnr, ssim
+from .engine import EngineConfig, InpaintReport, inpaint, inpaint_report, run_pass
+from .kernels import predict_line_center
+from .metrics import psnr, ssim
 from .raster import (
     DimensionMismatch,
     Image,
@@ -45,34 +27,21 @@ __version__ = "0.1.0"
 __all__ = [
     "DimensionMismatch",
     "EngineConfig",
-    "HyperbolicPair",
     "Image",
     "InpaintReport",
     "LineSpec",
     "Mask",
-    "Neighborhood",
     "PnmError",
-    "PredictionBundle",
-    "QualityReport",
     "apply_mask",
-    "build_hyperbolic_matrices",
-    "cubic_conv_weight",
-    "evaluate",
-    "gather_neighborhood",
     "generate_line_mask",
     "inpaint",
     "inpaint_report",
     "load_pnm",
     "mask_from_pgm",
     "mask_to_pgm",
-    "midpoint_upsample",
-    "predict_2d_center",
     "predict_line_center",
-    "predict_pixel",
     "psnr",
-    "replace_most_deviant",
     "run_pass",
     "save_pnm",
     "ssim",
-    "upsample_center",
 ]

@@ -48,10 +48,15 @@ def run_sweep(
 
     mode "lines" sweeps the defect-line count at width 1; mode "width"
     sweeps the line width with two lines. Records are ordered by
-    (param_value, seed).
+    (param_value, seed). Raises ValueError on an unknown mode, fewer
+    than one seed or an empty range.
     """
     if mode not in ("lines", "width"):
         raise ValueError(f"unknown sweep mode {mode!r}")
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
+    if lo > hi:
+        raise ValueError(f"empty sweep range: min {lo} > max {hi}")
     config = EngineConfig(max_passes=max_passes)
     records = []
     for value in range(lo, hi + 1):

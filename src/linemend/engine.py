@@ -10,15 +10,17 @@ re-predicts only the holes whose stencil the round before changed; the
 rest are still unfillable. Pixels that never acquire a complete
 predictor line (deep hole interiors) are finished by a growing-window
 mean fallback over summed-area tables that stop where the residual
-holes' largest windows end.
+holes' largest windows end. Every committed value is clamped to
+[0, 255].
 
-Per missing pixel and channel, up to six candidate values are averaged:
-four directional line predictions (horizontal, vertical, main diagonal,
-anti-diagonal) and two surface predictions from the flared 12-pixel
-selections. A line contributes only when all four of its pixels are
-available; a surface only when all twelve of its matrix's pixels are.
-When all four line predictions exist, the one most deviant from their
-mean is first replaced by the mean of the other three.
+Per missing pixel and channel, the predictions of the available slots
+of kernels.SLOTS are averaged: four directional line predictions and
+two surface predictions. A slot is available when every line it names
+has all four pixels known. When all four line predictions exist, the
+one most deviant from their mean is first replaced by the mean of the
+other three. Missing-ness is read from a copy of the mask padded by 2
+on every side whose border counts as missing, so the 16 neighbours of
+a hole are fixed flat offsets with no bounds checks.
 """
 
 from __future__ import annotations
@@ -28,23 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import (
-    LINE_CENTER_WEIGHTS,
-    MIDPOINT_WEIGHTS,
-    NEIGHBOR_OFFSETS,
-    horizontal_selection,
-    predict_line_center,
-    upsample_center,
-    vertical_selection,
-)
+from .kernels import NEIGHBOR_OFFSETS, SLOTS
 from .raster import DimensionMismatch, Image, Mask, require_same_grid
-
-# Slot order: 4 directional lines, then vertical-matrix and
-# horizontal-matrix surface predictions. Availability of the vertical
-# (resp. horizontal) surface requires its axis line plus both diagonals.
-_N_SLOTS = 6
-_SURFACE_VERTICAL = 4
-_SURFACE_HORIZONTAL = 5
 
 
 @dataclass(frozen=True)
@@ -52,54 +39,14 @@ class EngineConfig:
     """Engine knobs; the defaults handle defect lines up to 15 px wide."""
 
     max_passes: int = 64
-    clamp_range: tuple[float, float] = (0.0, 255.0)
     fallback_window_limit: int = 21
 
     def __post_init__(self):
         if self.max_passes < 1:
             raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
-        lo, hi = self.clamp_range
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ValueError(f"invalid clamp_range {self.clamp_range}")
         w = self.fallback_window_limit
         if w < 3 or w % 2 == 0:
             raise ValueError(f"fallback_window_limit must be odd and >= 3, got {w}")
-
-
-@dataclass(frozen=True)
-class Neighborhood:
-    """The 16 line pixels around one target, with per-pixel availability.
-
-    ``values`` and ``available`` follow kernels.NEIGHBOR_OFFSETS order; a
-    value whose availability flag is False is never used.
-    """
-
-    values: np.ndarray
-    available: np.ndarray
-
-    def as_mapping(self) -> dict[tuple[int, int], float]:
-        """Offset -> value for the available pixels only."""
-        return {
-            off: float(self.values[i])
-            for i, off in enumerate(NEIGHBOR_OFFSETS)
-            if self.available[i]
-        }
-
-
-@dataclass(frozen=True)
-class PredictionBundle:
-    """Up to six candidate intensities for one target pixel.
-
-    ``line_predictions`` holds one optional value per direction (after
-    outlier replacement, when applicable); ``surface_predictions`` holds
-    the optional vertical- and horizontal-matrix centers.
-    """
-
-    line_predictions: tuple[float | None, float | None, float | None, float | None]
-    surface_predictions: tuple[float | None, float | None]
-
-    def slots(self) -> list[float]:
-        return [v for v in (*self.line_predictions, *self.surface_predictions) if v is not None]
 
 
 @dataclass(frozen=True)
@@ -116,168 +63,92 @@ class InpaintReport:
         return int(sum(self.pass_fill_counts))
 
 
-def _as_plane(values, channel: int) -> np.ndarray:
-    if isinstance(values, Image):
-        return values.data[:, :, channel]
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 3:
-        return arr[:, :, channel]
-    return arr
-
-
-def gather_neighborhood(values, missing: np.ndarray, center: tuple[int, int], channel: int = 0) -> Neighborhood:
-    """Collect the 16 line pixels around ``center`` from the current state.
-
-    ``values`` may be an Image or a 2-D/3-D array; ``missing`` is the
-    current boolean missing-set. Out-of-bounds offsets are unavailable;
-    no synthetic padding is invented for prediction.
+def _pad_missing(missing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The missing set padded by 2 on every side, its border counted as
+    missing, and the flat indices of the holes inside it, in row-major
+    order. A hole's 16 neighbours then sit at fixed flat offsets that
+    never leave the padded grid.
     """
-    plane = _as_plane(values, channel)
-    height, width = plane.shape
-    r, c = center
-    if not (0 <= r < height and 0 <= c < width):
-        raise ValueError(f"center {center} outside {width}x{height} image")
-    vals = np.zeros(16, dtype=np.float64)
-    avail = np.zeros(16, dtype=bool)
-    for i, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
-        rr, cc = r + dr, c + dc
-        if 0 <= rr < height and 0 <= cc < width:
-            vals[i] = plane[rr, cc]
-            avail[i] = not missing[rr, cc]
-    return Neighborhood(values=vals, available=avail)
+    height, width = missing.shape
+    padded = np.zeros((height + 4, width + 4), dtype=bool)
+    padded[2:-2, 2:-2] = missing
+    holes = np.flatnonzero(padded)
+    padded[:2] = padded[-2:] = padded[:, :2] = padded[:, -2:] = True
+    return padded, holes
 
 
-def replace_most_deviant(predictions) -> np.ndarray:
-    """Replace the prediction farthest from the four-value mean.
+def _predict_many(values: np.ndarray, missing_at: np.ndarray, holes: np.ndarray):
+    """Vectorized predictions for the holes at flat indices ``holes`` of
+    the padded grid whose flattened missing set is ``missing_at``.
 
-    The value with maximum absolute deviation from the mean of all four
-    is replaced by the mean of the other three; ties go to the lowest
-    direction index. The other three values are unchanged.
+    ``values`` is the C-contiguous (height, width, channels) state.
+    Returns (fillable (k,), the flat pixel indices in ``values`` of the
+    fillable holes, their predictions (f, channels)); values are gathered
+    and predicted for the fillable holes only. Every arithmetic step is
+    elementwise with a fixed evaluation order, so a hole's prediction
+    does not depend on how the hole list is chunked.
     """
-    p = np.asarray(predictions, dtype=np.float64)
-    if p.shape != (4,):
-        raise ValueError(f"expected exactly 4 predictions, got shape {p.shape}")
-    if not np.isfinite(p).all():
-        raise ValueError("predictions must be finite")
-    mean = (p[0] + p[1] + p[2] + p[3]) * 0.25
-    worst = int(np.argmax(np.abs(p - mean)))
-    out = p.copy()
-    out[worst] = (4.0 * mean - p[worst]) / 3.0
-    return out
+    _, width, channels = values.shape
+    stride = width + 4
+    complete = []
+    for first in range(0, len(NEIGHBOR_OFFSETS), 4):
+        gap = np.zeros(holes.size, dtype=bool)
+        for dr, dc in NEIGHBOR_OFFSETS[first : first + 4]:
+            gap |= missing_at[holes + (dr * stride + dc)]
+        complete.append(~gap)
+    ok = np.array([np.logical_and.reduce([complete[d] for d in lines]) for *_, lines in SLOTS])
+    fillable = ok.any(axis=0)
+    ok = ok[:, fillable]
+    rows, cols = np.divmod(holes[fillable], stride)
+    cells = (rows - 2) * width + (cols - 2)
 
+    flat = values.reshape(-1, channels)
+    preds = np.empty((len(SLOTS), cells.size, channels), dtype=np.float64)
+    for s, (first, w, _) in enumerate(SLOTS):
+        # A tap of a slot that is not available may fall off the image;
+        # clipping its index keeps the gather in range, and the value is
+        # never used.
+        v0, v1, v2, v3 = (
+            np.take(flat, cells + (dr * width + dc), axis=0, mode="clip")
+            for dr, dc in NEIGHBOR_OFFSETS[first : first + 4]
+        )
+        preds[s] = w[0] * v0 + w[1] * v1 + w[2] * v2 + w[3] * v3
 
-def predict_pixel(neighborhood: Neighborhood) -> float | None:
-    """Aggregate every available predictor into one unclamped intensity.
-
-    Returns None when no predictor slot is available. This is the scalar
-    reference path; run_pass computes the same quantity vectorized.
-    """
-    bundle = prediction_bundle(neighborhood)
-    slots = bundle.slots()
-    if not slots:
-        return None
-    total = 0.0
-    for v in slots:
-        total += v
-    return total / len(slots)
-
-
-def prediction_bundle(neighborhood: Neighborhood) -> PredictionBundle:
-    """Assemble the line and surface predictions for one neighborhood."""
-    vals, avail = neighborhood.values, neighborhood.available
-    line: list[float | None] = []
-    for d in range(4):
-        s = slice(4 * d, 4 * d + 4)
-        line.append(predict_line_center(vals[s]) if avail[s].all() else None)
-    if all(v is not None for v in line):
-        line = list(replace_most_deviant(line))
-    mapping = neighborhood.as_mapping()
-    vmat = vertical_selection(mapping)
-    hmat = horizontal_selection(mapping)
-    surfaces = (
-        upsample_center(vmat) if vmat is not None else None,
-        upsample_center(hmat) if hmat is not None else None,
-    )
-    return PredictionBundle(line_predictions=tuple(line), surface_predictions=surfaces)
-
-
-def _predict_many(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-    """Vectorized predictions for the given missing coordinates.
-
-    Returns (predicted (k, channels), fillable (k,)). Every arithmetic
-    step is elementwise with a fixed evaluation order, so the result for
-    a pixel does not depend on how the coordinate list is chunked.
-    """
-    height, width, channels = values.shape
-    k = rows.size
-    vals = np.empty((16, k, channels), dtype=np.float64)
-    avail = np.empty((16, k), dtype=bool)
-    for i, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
-        rr = rows + dr
-        cc = cols + dc
-        inb = (rr >= 0) & (rr < height) & (cc >= 0) & (cc < width)
-        rs = np.where(inb, rr, 0)
-        cs = np.where(inb, cc, 0)
-        avail[i] = inb & ~missing[rs, cs]
-        vals[i] = values[rs, cs]
-
-    w = LINE_CENTER_WEIGHTS
-    preds = np.empty((_N_SLOTS, k, channels), dtype=np.float64)
-    ok = np.empty((_N_SLOTS, k), dtype=bool)
-    for d in range(4):
-        b = 4 * d
-        ok[d] = avail[b] & avail[b + 1] & avail[b + 2] & avail[b + 3]
-        preds[d] = w[0] * vals[b] + w[1] * vals[b + 1] + w[2] * vals[b + 2] + w[3] * vals[b + 3]
-
-    m = MIDPOINT_WEIGHTS
-    # Vertical matrix = vertical line + both diagonals; its center weighs
-    # only the vertical line. Horizontal likewise.
-    ok[_SURFACE_VERTICAL] = ok[1] & ok[2] & ok[3]
-    preds[_SURFACE_VERTICAL] = m[0] * vals[4] + m[1] * vals[5] + m[2] * vals[6] + m[3] * vals[7]
-    ok[_SURFACE_HORIZONTAL] = ok[0] & ok[2] & ok[3]
-    preds[_SURFACE_HORIZONTAL] = m[0] * vals[0] + m[1] * vals[1] + m[2] * vals[2] + m[3] * vals[3]
-
-    all_lines = ok[0] & ok[1] & ok[2] & ok[3]
+    all_lines = ok[0] & ok[1] & ok[2] & ok[3]  # slots 0-3 are the lines
     if all_lines.any():
-        lines = preds[:4]
+        lines = preds[:4, all_lines]
         mean = (lines[0] + lines[1] + lines[2] + lines[3]) * 0.25
-        dev = np.abs(lines - mean)
-        worst = dev.argmax(axis=0)  # first index wins ties
+        worst = np.abs(lines - mean).argmax(axis=0)  # first index wins ties
         worst_val = np.take_along_axis(lines, worst[None], axis=0)[0]
-        replaced = lines.copy()
-        np.put_along_axis(replaced, worst[None], ((4.0 * mean - worst_val) / 3.0)[None], axis=0)
-        preds[:4] = np.where(all_lines[None, :, None], replaced, lines)
+        np.put_along_axis(lines, worst[None], ((4.0 * mean - worst_val) / 3.0)[None], axis=0)
+        preds[:4, all_lines] = lines
 
-    total = np.zeros((k, channels), dtype=np.float64)
-    count = np.zeros(k, dtype=np.int64)
-    for s in range(_N_SLOTS):
+    total = np.zeros((cells.size, channels), dtype=np.float64)
+    for s in range(len(SLOTS)):
         total += np.where(ok[s][:, None], preds[s], 0.0)
-        count += ok[s]
-    fillable = count > 0
-    predicted = total / np.maximum(count, 1)[:, None]
-    return predicted, fillable
+    return fillable, cells, total / ok.sum(axis=0)[:, None]
 
 
-def _fill_round(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                clamp_range: tuple[float, float], pool: ThreadPoolExecutor, workers: int) -> np.ndarray:
-    """Predict the given missing coordinates from the current state, then
-    commit the fillable ones into ``values`` in place.
+def _fill_round(values: np.ndarray, missing_at: np.ndarray, holes: np.ndarray,
+                pool: ThreadPoolExecutor, workers: int) -> np.ndarray:
+    """Predict the holes at padded flat indices ``holes`` from the current
+    state, then commit the fillable ones into the C-contiguous ``values``
+    in place, clamped to [0, 255].
 
     Every prediction is made before anything is written, so the round
     keeps Jacobi semantics however its work is split across ``workers``.
-    ``missing`` is not modified. Returns the boolean fillable set over the
-    given coordinates.
+    ``missing_at`` is not modified. Returns the boolean fillable set over
+    ``holes``.
     """
-    if workers <= 1 or rows.size < 2 * workers:
-        parts = [(rows, cols, *_predict_many(values, missing, rows, cols))]
+    if workers <= 1 or holes.size < 2 * workers:
+        parts = [_predict_many(values, missing_at, holes)]
     else:
-        chunks = list(zip(np.array_split(rows, workers), np.array_split(cols, workers)))
-        futures = [pool.submit(_predict_many, values, missing, r, c) for r, c in chunks]
-        parts = [(r, c, *f.result()) for (r, c), f in zip(chunks, futures)]
-    lo, hi = clamp_range
-    for r, c, predicted, fillable in parts:
-        values[r[fillable], c[fillable]] = np.clip(predicted[fillable], lo, hi)
-    return np.concatenate([fillable for *_, fillable in parts])
+        futures = [pool.submit(_predict_many, values, missing_at, h) for h in np.array_split(holes, workers)]
+        parts = [f.result() for f in futures]
+    flat = values.reshape(-1, values.shape[2])
+    for _, cells, predicted in parts:
+        flat[cells] = np.clip(predicted, 0.0, 255.0)
+    return np.concatenate([fillable for fillable, *_ in parts])
 
 
 def run_pass(values: np.ndarray, missing: np.ndarray, config: EngineConfig | None = None, workers: int = 1):
@@ -287,10 +158,10 @@ def run_pass(values: np.ndarray, missing: np.ndarray, config: EngineConfig | Non
     modified; ``missing`` marks pixels still to fill, as truth values on
     the same grid (DimensionMismatch otherwise). Every missing pixel
     with at least one available predictor slot is committed (clamped to
-    the configured range) into the returned copy. Returns
-    (new_values, filled) where ``filled`` is the boolean newly-filled set.
+    [0, 255]) into the returned copy. Returns (new_values, filled) where
+    ``filled`` is the boolean newly-filled set. No field of ``config``
+    changes a single round; a pass loop may hand on the one it runs under.
     """
-    config = config or EngineConfig()
     squeeze = values.ndim == 2
     if squeeze:
         values = values[:, :, np.newaxis]
@@ -300,17 +171,18 @@ def run_pass(values: np.ndarray, missing: np.ndarray, config: EngineConfig | Non
             f"missing has shape {missing.shape} but values have grid {values.shape[:2]}"
         )
     new_values = values.copy()
-    rows, cols = np.nonzero(missing)
+    padded, holes = _pad_missing(missing)
+    missing_at = padded.ravel()
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-        fillable = _fill_round(new_values, missing, rows, cols, config.clamp_range, pool, workers)
-    filled = np.zeros(missing.shape, dtype=bool)
-    filled[rows[fillable], cols[fillable]] = True
+        fillable = _fill_round(new_values, missing_at, holes, pool, workers)
+    missing_at[holes[fillable]] = False
+    filled = missing & ~padded[2:-2, 2:-2]
     return (new_values[:, :, 0] if squeeze else new_values), filled
 
 
 def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, config: EngineConfig, workers: int):
-    """Run fill rounds over ``values`` in place until one fills nothing,
-    no hole remains, or ``config.max_passes`` rounds have run.
+    """Run fill rounds over the C-contiguous ``values`` in place until one
+    fills nothing, no hole remains, or ``config.max_passes`` rounds have run.
 
     Returns (fill counts per round, the residual missing set, and the
     row and column indices of its pixels in row-major order). A hole's
@@ -320,24 +192,18 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, config: EngineConfi
     after the first therefore re-predicts just the remaining holes next
     to a pixel that the round before filled; when there are none, the
     round fills 0 and ends the loop. The holes are kept as a compacted
-    list of flat indices into a grid padded by 2 on every side, so
-    neighbour offsets need no bounds checks.
+    list of flat indices into the padded missing set of _pad_missing.
     """
-    height, width = degraded.shape
-    stride = width + 4
-    padded = np.zeros((height + 4, stride), dtype=bool)
-    padded[2:-2, 2:-2] = degraded
-    missing = padded[2:-2, 2:-2]
+    stride = degraded.shape[1] + 4
+    padded, holes = _pad_missing(degraded)
     missing_at = padded.ravel()
     near_filled = np.zeros_like(missing_at)
     offsets = [dr * stride + dc for dr, dc in NEIGHBOR_OFFSETS]
-    holes = np.flatnonzero(missing_at)
     candidates = holes
     fill_counts: list[int] = []
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
         while holes.size and len(fill_counts) < config.max_passes:
-            rows, cols = np.divmod(candidates, stride)
-            fillable = _fill_round(values, missing, rows - 2, cols - 2, config.clamp_range, pool, workers)
+            fillable = _fill_round(values, missing_at, candidates, pool, workers)
             done = candidates[fillable]
             fill_counts.append(done.size)
             if done.size == 0:
@@ -351,7 +217,7 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, config: EngineConfi
             candidates = holes[near_filled[holes]]
             near_filled[candidates] = False
     rows, cols = np.divmod(holes, stride)
-    return fill_counts, missing, rows - 2, cols - 2
+    return fill_counts, padded[2:-2, 2:-2], rows - 2, cols - 2
 
 
 def _integral(plane: np.ndarray) -> np.ndarray:
@@ -385,7 +251,6 @@ def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, co
     if rows.size == 0:
         return 0
     height, width, channels = values.shape
-    lo, hi = config.clamp_range
     out = np.full((rows.size, channels), 128.0)
     if rows.size < height * width:  # some pixel is known
         reach = config.fallback_window_limit // 2
@@ -414,7 +279,7 @@ def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, co
             pending = pending[~hit]
             if pending.size == 0:
                 break
-    values[rows, cols] = np.clip(out, lo, hi)
+    values[rows, cols] = np.clip(out, 0.0, 255.0)
     return rows.size
 
 

@@ -1,34 +1,28 @@
-"""Cubic interpolation kernels and neighbor-selection geometry.
+"""The predictor's stencil: 16 line pixels and the six slots built on them.
 
 A missing pixel is predicted from the 16 pixels that sit at signed
 offsets (-2, -1, +1, +2) along the four lines through it (horizontal,
-vertical, both diagonals). Two prediction flavors are provided:
+vertical, both diagonals). Each of the six predictor slots is a fixed
+weighting of four of them:
 
-* an exact cubic fit through a line's four samples, evaluated at the
-  missing center, and
-* separable cubic-convolution midpoint refinement (Keys kernel,
-  a = -0.5) of a small matrix, whose center entry serves as a surface
-  prediction.
-
-The 12-pixel matrices fed to the surface path pair one axis line with
-both diagonals; the diagonals flare outward from the center like
-hyperbola branches, which keeps corner structure in play.
+* four line slots, the exact cubic through one line's four samples
+  evaluated at the missing center, and
+* two surface slots, the centers of the paper's flared 12-pixel
+  selections (one axis line plus both diagonals) refined by Keys
+  cubic-convolution midpoint upsampling (a = -0.5). Such a center
+  weighs only its axis line, by (-1, 9, 9, -1)/16; the diagonal
+  ("hyperbolic") pixels only decide whether the slot is available.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 #: Signed sample offsets along a line, ordered by line parameter.
 STEPS = (-2, -1, 1, 2)
 
-#: Direction order used everywhere downstream (tie-breaks included).
-DIRECTIONS = ("horizontal", "vertical", "main_diagonal", "anti_diagonal")
-
-#: (row, col) unit step per direction.
+#: (row, col) unit step per direction: horizontal, vertical, main
+#: diagonal, anti-diagonal. This order is also the tie-break order.
 DIRECTION_VECTORS = ((0, 1), (1, 0), (1, 1), (1, -1))
 
 #: The 16 (row offset, col offset) pairs, grouped by direction, four per
@@ -37,31 +31,26 @@ NEIGHBOR_OFFSETS = tuple(
     (t * dr, t * dc) for (dr, dc) in DIRECTION_VECTORS for t in STEPS
 )
 
-
-def cubic_conv_weight(distance: float) -> float:
-    """Keys cubic-convolution weight (a = -0.5) at the given distance.
-
-    Piecewise cubic with support (-2, 2); interpolating (1 at distance 0,
-    0 at other integers). Total function: any finite distance is accepted.
-    """
-    a = -0.5
-    d = abs(float(distance))
-    if d <= 1.0:
-        return (a + 2.0) * d**3 - (a + 3.0) * d**2 + 1.0
-    if d < 2.0:
-        return a * d**3 - 5.0 * a * d**2 + 8.0 * a * d - 4.0 * a
-    return 0.0
-
-
 #: Weights of the exact cubic through samples at offsets (-2, -1, +1, +2),
 #: evaluated at offset 0 (Lagrange form).
 LINE_CENTER_WEIGHTS = np.array([-1.0 / 6.0, 2.0 / 3.0, 2.0 / 3.0, -1.0 / 6.0])
 
-#: Cubic-convolution weights for a midpoint between the two central samples
-#: of a four-sample window (distances 1.5, 0.5, 0.5, 1.5). Evaluates to
-#: (-1, 9, 9, -1)/16 exactly.
-MIDPOINT_WEIGHTS = np.array(
-    [cubic_conv_weight(1.5), cubic_conv_weight(0.5), cubic_conv_weight(0.5), cubic_conv_weight(1.5)]
+#: Keys cubic-convolution weights (a = -0.5) of the midpoint between the
+#: two central samples of four, at distances 1.5, 0.5, 0.5 and 1.5.
+SURFACE_CENTER_WEIGHTS = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
+
+#: The six predictor slots, in the order their predictions are summed:
+#: (index into NEIGHBOR_OFFSETS of the first of the slot's four taps,
+#: the taps' weights, the directions whose lines must be complete).
+#: Slots 0-3 are the four lines; slots 4 and 5 are the vertical and the
+#: horizontal surface, each on its axis line but needing both diagonals.
+SLOTS = (
+    (0, LINE_CENTER_WEIGHTS, (0,)),
+    (4, LINE_CENTER_WEIGHTS, (1,)),
+    (8, LINE_CENTER_WEIGHTS, (2,)),
+    (12, LINE_CENTER_WEIGHTS, (3,)),
+    (4, SURFACE_CENTER_WEIGHTS, (1, 2, 3)),
+    (0, SURFACE_CENTER_WEIGHTS, (0, 2, 3)),
 )
 
 
@@ -79,115 +68,3 @@ def predict_line_center(line) -> float:
         raise ValueError("line samples must be finite")
     w = LINE_CENTER_WEIGHTS
     return float(w[0] * v[0] + w[1] * v[1] + w[2] * v[2] + w[3] * v[3])
-
-
-@dataclass(frozen=True)
-class HyperbolicPair:
-    """The two 12-pixel selections around a missing center.
-
-    ``vertical`` is 4x3: rows follow row offsets (-2, -1, +1, +2); each row
-    holds (value at (r, -|r|), value at (r, 0), value at (r, +|r|)), so the
-    middle column is the vertical line and the outer entries flare along
-    the diagonals. ``horizontal`` is the 3x4 transpose-analogue whose middle
-    row is the horizontal line.
-    """
-
-    vertical: np.ndarray
-    horizontal: np.ndarray
-
-
-def vertical_selection(values: Mapping[tuple[int, int], float]) -> np.ndarray | None:
-    """Build the 4x3 vertical-axis matrix, or None if any needed pixel is absent."""
-    try:
-        rows = [
-            (values[(r, -abs(r))], values[(r, 0)], values[(r, abs(r))])
-            for r in STEPS
-        ]
-    except KeyError:
-        return None
-    return np.array(rows, dtype=np.float64)
-
-
-def horizontal_selection(values: Mapping[tuple[int, int], float]) -> np.ndarray | None:
-    """Build the 3x4 horizontal-axis matrix, or None if any needed pixel is absent."""
-    try:
-        cols = [
-            (values[(-abs(c), c)], values[(0, c)], values[(abs(c), c)])
-            for c in STEPS
-        ]
-    except KeyError:
-        return None
-    return np.array(cols, dtype=np.float64).T
-
-
-def build_hyperbolic_matrices(
-    values: Mapping[tuple[int, int], float],
-) -> HyperbolicPair | None:
-    """Form both selection matrices from the 16 neighbor values.
-
-    ``values`` maps (row offset, col offset) to intensity. Returns None if
-    any of the 16 offsets is missing (unavailability, not an error).
-    """
-    if any(off not in values for off in NEIGHBOR_OFFSETS):
-        return None
-    vertical = vertical_selection(values)
-    horizontal = horizontal_selection(values)
-    assert vertical is not None and horizontal is not None
-    return HyperbolicPair(vertical=vertical, horizontal=horizontal)
-
-
-def _upsample_along_axis(arr: np.ndarray, axis: int) -> np.ndarray:
-    a = np.moveaxis(arr, axis, 0)
-    n = a.shape[0]
-    out_shape = (2 * n - 1,) + a.shape[1:]
-    out = np.empty(out_shape, dtype=np.float64)
-    out[0::2] = a
-    # Midpoint between samples i and i+1 weights samples (i-1, i, i+1, i+2)
-    # with edge replication for the two border midpoints.
-    padded = np.concatenate([a[:1], a, a[-1:]], axis=0)
-    w = MIDPOINT_WEIGHTS
-    out[1::2] = (
-        w[0] * padded[0 : n - 1]
-        + w[1] * padded[1:n]
-        + w[2] * padded[2 : n + 1]
-        + w[3] * padded[3 : n + 2]
-    )
-    return np.moveaxis(out, 0, axis)
-
-
-def midpoint_upsample(matrix) -> np.ndarray:
-    """Refine a grid by inserting one cubic-convolution midpoint per adjacent pair.
-
-    An m x n matrix becomes (2m-1) x (2n-1); original samples land at even
-    (0-based) indices unchanged. A 1-D array of length n (n >= 2) becomes
-    length 2n-1. Row and column passes commute.
-    """
-    arr = np.asarray(matrix, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix entries must be finite")
-    if arr.ndim == 1:
-        if arr.shape[0] < 2:
-            raise ValueError(f"need at least 2 samples, got {arr.shape[0]}")
-        return _upsample_along_axis(arr, 0)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 1-D or 2-D array, got ndim={arr.ndim}")
-    if arr.shape[0] < 2 or arr.shape[1] < 2:
-        raise ValueError(f"matrix must be at least 2x2, got {arr.shape[0]}x{arr.shape[1]}")
-    return _upsample_along_axis(_upsample_along_axis(arr, 0), 1)
-
-
-def upsample_center(matrix) -> float:
-    """Center entry of the midpoint-upsampled grid (unclamped)."""
-    up = midpoint_upsample(matrix)
-    return float(up[up.shape[0] // 2, up.shape[1] // 2])
-
-
-def predict_2d_center(pair: HyperbolicPair) -> tuple[float, float]:
-    """Predict the missing center from both selection matrices.
-
-    Returns (vertical-matrix center, horizontal-matrix center): the middle
-    entries of the 7x5 and 5x7 refined grids. Because the kernel is
-    interpolating, each center depends only on its matrix's middle
-    column/row; the flare entries shape the rest of the refined grid.
-    """
-    return upsample_center(pair.vertical), upsample_center(pair.horizontal)

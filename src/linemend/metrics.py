@@ -11,7 +11,6 @@ evaluated: every other window scores exactly 1.0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -23,12 +22,6 @@ _WINDOW = 11
 _SIGMA = 1.5
 _K1 = 0.01
 _K2 = 0.03
-
-
-@dataclass(frozen=True)
-class QualityReport:
-    psnr_db: float
-    ssim: float
 
 
 def _require_comparable(reference: Image, test: Image) -> None:
@@ -150,7 +143,3 @@ def ssim(reference: Image, test: Image) -> float:
     grid.reshape(-1)[(wr * grid_w + wc)[keep]] = scores[keep]
     return float(grid.mean())
 
-
-def evaluate(reference: Image, test: Image) -> QualityReport:
-    """Score ``test`` against ``reference`` with both metrics."""
-    return QualityReport(psnr_db=psnr(reference, test), ssim=ssim(reference, test))

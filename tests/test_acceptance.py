@@ -22,11 +22,12 @@ from linemend import (
     psnr,
     save_pnm,
     ssim,
-    upsample_center,
 )
 from linemend.cli import format_sweep_csv, main, run_sweep
+from linemend.kernels import SLOTS
 
 from conftest import spearman
+from oracle import upsample_center
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):
@@ -93,10 +94,12 @@ def test_criterion_2_surface_center_closed_form():
         horz2[1, :] = horz[1, :]
         if upsample_center(vert2) != cv or upsample_center(horz2) != ch:
             flare_invariant = False
+    # The engine's surface slots (4: vertical, 5: horizontal) use this w.
+    engine_weights_exact = all(np.array_equal(SLOTS[s][1], w) for s in (4, 5))
     _report(
         "2 surface-center-closed-form",
-        worst <= 1e-12 and flare_invariant,
-        f"max_abs_err={worst:.2e} flare_invariant={flare_invariant}",
+        worst <= 1e-12 and flare_invariant and engine_weights_exact,
+        f"max_abs_err={worst:.2e} flare_invariant={flare_invariant} engine_weights_exact={engine_weights_exact}",
     )
 
 

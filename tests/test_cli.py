@@ -158,6 +158,29 @@ def test_sweep_lines_mode(tmp_path, small_image, capsys):
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_sweep_rejects_fewer_than_one_seed(tmp_path, small_image, capsys, seeds):
+    csv_path = tmp_path / "s.csv"
+    rc = main([
+        "sweep", "--input", str(small_image), "--mode", "width",
+        "--min", "1", "--max", "2", "--seeds", seeds, "--csv", str(csv_path),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: seeds must be >= 1")
+    assert not csv_path.exists()
+
+
+def test_sweep_rejects_empty_range(tmp_path, small_image, capsys):
+    csv_path = tmp_path / "s.csv"
+    rc = main([
+        "sweep", "--input", str(small_image), "--mode", "width",
+        "--min", "3", "--max", "1", "--seeds", "1", "--csv", str(csv_path),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: empty sweep range")
+    assert not csv_path.exists()
+
+
 def test_module_entry_point_help():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

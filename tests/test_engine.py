@@ -1,4 +1,5 @@
-"""Engine tests: per-pixel contracts, pass scheduling, and whole-run
+"""Engine tests: the per-pixel contracts of the reference in oracle.py,
+the vectorized pass against it, pass scheduling, and whole-run
 invariants, with brute-force enumeration oracles for availability."""
 
 import numpy as np
@@ -12,16 +13,15 @@ from linemend import (
     Image,
     LineSpec,
     Mask,
-    gather_neighborhood,
     generate_line_mask,
     inpaint,
     inpaint_report,
-    predict_pixel,
-    replace_most_deviant,
     run_pass,
 )
-from linemend.engine import _fallback_fill, _predict_many
+from linemend.engine import _fallback_fill, _pad_missing, _predict_many
 from linemend.kernels import DIRECTION_VECTORS, NEIGHBOR_OFFSETS
+
+from oracle import gather_neighborhood, predict_pixel, replace_most_deviant
 
 
 def affine_image(height, width, a=0.5, b=0.8, d=20.0, channels=1):
@@ -171,10 +171,12 @@ def test_run_pass_empty_missing_is_identity():
 
 def test_predict_many_zero_holes():
     values = affine_image(6, 6, channels=3).data
+    padded, _ = _pad_missing(np.zeros((6, 6), bool))
     none = np.zeros(0, dtype=np.int64)
-    predicted, fillable = _predict_many(values, np.zeros((6, 6), bool), none, none)
-    assert predicted.shape == (0, 3)
+    fillable, cells, predicted = _predict_many(values, padded.ravel(), none)
     assert fillable.shape == (0,)
+    assert cells.shape == (0,)
+    assert predicted.shape == (0, 3)
 
 
 def test_run_pass_leaves_arguments_unmodified():
@@ -235,25 +237,38 @@ def test_run_pass_filled_set_matches_brute_oracle():
         assert np.array_equal(filled, brute_fillable(missing))
 
 
-def test_run_pass_matches_scalar_reference():
-    # The vectorized pass must agree with the per-pixel route
-    # (gather_neighborhood + predict_pixel) on every missing pixel.
-    rng = np.random.default_rng(13)
-    for channels in (1, 3):
-        values = rng.uniform(0.0, 255.0, (18, 18, channels))
-        missing = rng.random((18, 18)) < 0.3
-        new_values, filled = run_pass(values, missing)
-        for r, c in zip(*np.nonzero(missing)):
-            for ch in range(channels):
-                nb = gather_neighborhood(values, missing, (r, c), ch)
-                want = predict_pixel(nb)
-                if want is None:
-                    assert not filled[r, c]
-                    assert new_values[r, c, ch] == values[r, c, ch]
-                else:
-                    assert filled[r, c]
-                    clamped = min(max(want, 0.0), 255.0)
-                    assert new_values[r, c, ch] == pytest.approx(clamped, abs=1e-12)
+@st.composite
+def pass_cases(draw):
+    """Random states with values in [-40, 300], so the clamp acts, and
+    random holes that include at least one on every border."""
+    height = draw(st.integers(3, 20))
+    width = draw(st.integers(3, 20))
+    channels = draw(st.sampled_from([1, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-40.0, 300.0, (height, width, channels))
+    missing = rng.random((height, width)) < draw(st.floats(0.05, 0.6))
+    missing[0, rng.integers(width)] = missing[-1, rng.integers(width)] = True
+    missing[rng.integers(height), 0] = missing[rng.integers(height), -1] = True
+    return values, missing
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pass_cases())
+def test_run_pass_matches_scalar_reference(case):
+    # The vectorized pass must agree bit for bit with the per-pixel route
+    # of tests/oracle.py (gather_neighborhood + predict_pixel) on every
+    # missing pixel.
+    values, missing = case
+    new_values, filled = run_pass(values, missing)
+    for r, c in zip(*np.nonzero(missing)):
+        for ch in range(values.shape[2]):
+            want = predict_pixel(gather_neighborhood(values, missing, (r, c), ch))
+            if want is None:
+                assert not filled[r, c]
+                assert new_values[r, c, ch] == values[r, c, ch]
+            else:
+                assert filled[r, c]
+                assert new_values[r, c, ch] == min(max(want, 0.0), 255.0)
 
 
 def test_run_pass_accepts_2d_state():
@@ -295,7 +310,6 @@ def fallback_oracle(values, missing, config):
         return 0
     height, width, channels = values.shape
     known = ~missing
-    lo, hi = config.clamp_range
     out = np.full((rows.size, channels), 128.0)
     if known.any():
         count_int = _integral_oracle(known.astype(np.float64))
@@ -318,7 +332,7 @@ def fallback_oracle(values, missing, config):
                     sums = s[r1, c1] - s[r0, c1] - s[r1, c0] + s[r0, c0]
                     out[sel, ch] = sums[sel] / counts[sel]
                 remaining &= ~sel
-    values[rows, cols] = np.clip(out, lo, hi)
+    values[rows, cols] = np.clip(out, 0.0, 255.0)
     return rows.size
 
 
@@ -568,5 +582,3 @@ def test_engine_config_validation():
         EngineConfig(fallback_window_limit=4)
     with pytest.raises(ValueError):
         EngineConfig(fallback_window_limit=1)
-    with pytest.raises(ValueError):
-        EngineConfig(clamp_range=(5.0, 5.0))

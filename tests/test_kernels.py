@@ -4,20 +4,17 @@ independent oracle (Vandermonde fit, direct convolution, enumeration)."""
 import numpy as np
 import pytest
 
-from linemend import (
+from linemend import predict_line_center
+from linemend.kernels import LINE_CENTER_WEIGHTS, NEIGHBOR_OFFSETS, STEPS
+
+from oracle import (
+    MIDPOINT_WEIGHTS,
     build_hyperbolic_matrices,
     cubic_conv_weight,
+    horizontal_selection,
     midpoint_upsample,
     predict_2d_center,
-    predict_line_center,
     upsample_center,
-)
-from linemend.kernels import (
-    LINE_CENTER_WEIGHTS,
-    MIDPOINT_WEIGHTS,
-    NEIGHBOR_OFFSETS,
-    STEPS,
-    horizontal_selection,
     vertical_selection,
 )
 
@@ -226,7 +223,7 @@ def test_upsample_matches_direct_oracle():
 
 
 def test_upsample_separability_order_independent():
-    from linemend.kernels import _upsample_along_axis
+    from oracle import _upsample_along_axis
 
     rng = np.random.default_rng(31)
     for _ in range(50):

@@ -13,7 +13,6 @@ from linemend import (
     Image,
     LineSpec,
     apply_mask,
-    evaluate,
     generate_line_mask,
     inpaint,
     psnr,
@@ -138,14 +137,6 @@ def test_psnr_monotone_in_noise_amplitude():
     noise = rng.standard_normal((32, 32))
     scores = [psnr(Image(ref), Image(ref + amp * noise)) for amp in (1, 2, 4, 8, 16)]
     assert all(s1 > s2 for s1, s2 in zip(scores, scores[1:]))
-
-
-def test_evaluate_report():
-    rng = np.random.default_rng(28)
-    a = Image(rng.uniform(0.0, 255.0, (16, 16)))
-    report = evaluate(a, a)
-    assert report.psnr_db == math.inf
-    assert report.ssim == 1.0
 
 
 @st.composite
