@@ -3,8 +3,9 @@
 Filling proceeds in Jacobi rounds: every still-missing pixel is
 predicted from the previous round's state only, and a round is committed
 in place only after all of its predictions are made. Results are
-therefore independent of pixel visitation order and of how a round's
-work is split across threads. Since a hole's predictors depend only on
+therefore independent of pixel visitation order. Every round runs on the
+calling thread; the ``workers`` argument of the public functions is
+accepted and has no effect. Since a hole's predictors depend only on
 which of its 16 line pixels are missing, a round after the first
 re-predicts only the holes whose stencil the round before changed; the
 rest are still unfillable. Pixels that never acquire a complete
@@ -25,7 +26,6 @@ a hole are fixed flat offsets with no bounds checks.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,16 +77,15 @@ def _pad_missing(missing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return padded, holes
 
 
-def _predict_many(values: np.ndarray, missing_at: np.ndarray, holes: np.ndarray):
-    """Vectorized predictions for the holes at flat indices ``holes`` of
-    the padded grid whose flattened missing set is ``missing_at``.
+def _fill_round(values: np.ndarray, missing_at: np.ndarray, holes: np.ndarray) -> np.ndarray:
+    """One Jacobi round over the holes at flat indices ``holes`` of the
+    padded grid whose flattened missing set is ``missing_at``.
 
-    ``values`` is the C-contiguous (height, width, channels) state.
-    Returns (fillable (k,), the flat pixel indices in ``values`` of the
-    fillable holes, their predictions (f, channels)); values are gathered
-    and predicted for the fillable holes only. Every arithmetic step is
-    elementwise with a fixed evaluation order, so a hole's prediction
-    does not depend on how the hole list is chunked.
+    ``values`` is the C-contiguous (height, width, channels) state. Values
+    are gathered and predicted for the holes with a fillable slot only;
+    every gather is made before the fillable holes are committed into
+    ``values`` in place, clamped to [0, 255]. ``missing_at`` is not
+    modified. Returns the boolean fillable set over ``holes``.
     """
     _, width, channels = values.shape
     stride = width + 4
@@ -126,61 +125,39 @@ def _predict_many(values: np.ndarray, missing_at: np.ndarray, holes: np.ndarray)
     total = np.zeros((cells.size, channels), dtype=np.float64)
     for s in range(len(SLOTS)):
         total += np.where(ok[s][:, None], preds[s], 0.0)
-    return fillable, cells, total / ok.sum(axis=0)[:, None]
-
-
-def _fill_round(values: np.ndarray, missing_at: np.ndarray, holes: np.ndarray,
-                pool: ThreadPoolExecutor, workers: int) -> np.ndarray:
-    """Predict the holes at padded flat indices ``holes`` from the current
-    state, then commit the fillable ones into the C-contiguous ``values``
-    in place, clamped to [0, 255].
-
-    Every prediction is made before anything is written, so the round
-    keeps Jacobi semantics however its work is split across ``workers``.
-    ``missing_at`` is not modified. Returns the boolean fillable set over
-    ``holes``.
-    """
-    if workers <= 1 or holes.size < 2 * workers:
-        parts = [_predict_many(values, missing_at, holes)]
-    else:
-        futures = [pool.submit(_predict_many, values, missing_at, h) for h in np.array_split(holes, workers)]
-        parts = [f.result() for f in futures]
-    flat = values.reshape(-1, values.shape[2])
-    for _, cells, predicted in parts:
-        flat[cells] = np.clip(predicted, 0.0, 255.0)
-    return np.concatenate([fillable for fillable, *_ in parts])
+    flat[cells] = np.clip(total / ok.sum(axis=0)[:, None], 0.0, 255.0)
+    return fillable
 
 
 def run_pass(values: np.ndarray, missing: np.ndarray, config: EngineConfig | None = None, workers: int = 1):
-    """One Jacobi fill round over the current missing set.
+    """One Jacobi fill round over the current missing set: the first
+    round of inpaint_report's loop.
 
-    ``values`` is the (height, width, channels) pre-pass state and is not
-    modified; ``missing`` marks pixels still to fill, as truth values on
-    the same grid (DimensionMismatch otherwise). Every missing pixel
-    with at least one available predictor slot is committed (clamped to
-    [0, 255]) into the returned copy. Returns (new_values, filled) where
-    ``filled`` is the boolean newly-filled set. No field of ``config``
-    changes a single round; a pass loop may hand on the one it runs under.
+    ``values`` is the (height, width) or (height, width, channels)
+    pre-pass state. It is read as float64 like an Image's data
+    (ValueError if a sample is not finite) and is not modified.
+    ``missing`` marks pixels still to fill, as truth values on the same
+    grid (DimensionMismatch otherwise). Every missing pixel with at
+    least one available predictor slot is committed (clamped to
+    [0, 255]) into the returned float64 copy, which has the shape of
+    ``values``. Returns (new_values, filled) where ``filled`` is the
+    boolean newly-filled set. Neither ``config`` nor ``workers`` changes
+    the round, which runs on the calling thread; a pass loop may hand on
+    the config it runs under.
     """
-    squeeze = values.ndim == 2
-    if squeeze:
-        values = values[:, :, np.newaxis]
+    squeeze = np.ndim(values) == 2
+    new_values = Image(values).data.copy()
     missing = np.asarray(missing, dtype=bool)
-    if missing.shape != values.shape[:2]:
+    if missing.shape != new_values.shape[:2]:
         raise DimensionMismatch(
-            f"missing has shape {missing.shape} but values have grid {values.shape[:2]}"
+            f"missing has shape {missing.shape} but values have grid {new_values.shape[:2]}"
         )
-    new_values = values.copy()
-    padded, holes = _pad_missing(missing)
-    missing_at = padded.ravel()
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-        fillable = _fill_round(new_values, missing_at, holes, pool, workers)
-    missing_at[holes[fillable]] = False
-    filled = missing & ~padded[2:-2, 2:-2]
+    _, residual, _, _ = _jacobi_rounds(new_values, missing, EngineConfig(max_passes=1))
+    filled = missing & ~residual
     return (new_values[:, :, 0] if squeeze else new_values), filled
 
 
-def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, config: EngineConfig, workers: int):
+def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, config: EngineConfig):
     """Run fill rounds over the C-contiguous ``values`` in place until one
     fills nothing, no hole remains, or ``config.max_passes`` rounds have run.
 
@@ -201,21 +178,20 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, config: EngineConfi
     offsets = [dr * stride + dc for dr, dc in NEIGHBOR_OFFSETS]
     candidates = holes
     fill_counts: list[int] = []
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-        while holes.size and len(fill_counts) < config.max_passes:
-            fillable = _fill_round(values, missing_at, candidates, pool, workers)
-            done = candidates[fillable]
-            fill_counts.append(done.size)
-            if done.size == 0:
-                break
-            missing_at[done] = False
-            holes = holes[missing_at[holes]]
-            for off in offsets:
-                near_filled[done - off] = True
-            # Only flags at remaining holes are ever read, so clearing
-            # those is enough; flags left on known pixels are never seen.
-            candidates = holes[near_filled[holes]]
-            near_filled[candidates] = False
+    while holes.size and len(fill_counts) < config.max_passes:
+        fillable = _fill_round(values, missing_at, candidates)
+        done = candidates[fillable]
+        fill_counts.append(done.size)
+        if done.size == 0:
+            break
+        missing_at[done] = False
+        holes = holes[missing_at[holes]]
+        for off in offsets:
+            near_filled[done - off] = True
+        # Only flags at remaining holes are ever read, so clearing
+        # those is enough; flags left on known pixels are never seen.
+        candidates = holes[near_filled[holes]]
+        near_filled[candidates] = False
     rows, cols = np.divmod(holes, stride)
     return fill_counts, padded[2:-2, 2:-2], rows - 2, cols - 2
 
@@ -287,12 +263,13 @@ def inpaint_report(image: Image, mask: Mask, config: EngineConfig | None = None,
     """Restore every masked pixel and report pass/fill statistics.
 
     Channels are processed independently against the shared mask;
-    unmasked pixels are returned bit-identical to the input.
+    unmasked pixels are returned bit-identical to the input. ``workers``
+    is accepted and has no effect: every round runs on the calling thread.
     """
     config = config or EngineConfig()
     require_same_grid(image, mask)
     values = image.data.copy()
-    fill_counts, missing, rows, cols = _jacobi_rounds(values, mask.degraded, config, workers)
+    fill_counts, missing, rows, cols = _jacobi_rounds(values, mask.degraded, config)
     fallback_count = _fallback_fill(values, missing, rows, cols, config)
     return InpaintReport(
         image=Image(values),
@@ -304,4 +281,4 @@ def inpaint_report(image: Image, mask: Mask, config: EngineConfig | None = None,
 
 def inpaint(image: Image, mask: Mask, config: EngineConfig | None = None, workers: int = 1) -> Image:
     """Restore every masked pixel; see inpaint_report for details."""
-    return inpaint_report(image, mask, config, workers=workers).image
+    return inpaint_report(image, mask, config).image

@@ -18,7 +18,7 @@ from linemend import (
     inpaint_report,
     run_pass,
 )
-from linemend.engine import _fallback_fill, _pad_missing, _predict_many
+from linemend.engine import _fallback_fill, _fill_round, _pad_missing
 from linemend.kernels import DIRECTION_VECTORS, NEIGHBOR_OFFSETS
 
 from oracle import gather_neighborhood, predict_pixel, replace_most_deviant
@@ -169,14 +169,14 @@ def test_run_pass_empty_missing_is_identity():
     assert new_values is not img.data
 
 
-def test_predict_many_zero_holes():
-    values = affine_image(6, 6, channels=3).data
+def test_fill_round_zero_holes():
+    values = affine_image(6, 6, channels=3).data.copy()
+    before = values.copy()
     padded, _ = _pad_missing(np.zeros((6, 6), bool))
     none = np.zeros(0, dtype=np.int64)
-    fillable, cells, predicted = _predict_many(values, padded.ravel(), none)
+    fillable = _fill_round(values, padded.ravel(), none)
     assert fillable.shape == (0,)
-    assert cells.shape == (0,)
-    assert predicted.shape == (0, 3)
+    assert values.tobytes() == before.tobytes()
 
 
 def test_run_pass_leaves_arguments_unmodified():
@@ -210,6 +210,23 @@ def test_run_pass_rejects_missing_on_another_grid():
         run_pass(img.data, np.zeros((12, 13), bool))
     with pytest.raises(DimensionMismatch):
         run_pass(img.data[:, :, 0], np.zeros((12, 12, 1), bool))
+
+
+def test_run_pass_reads_values_as_finite_float64():
+    # Integer samples whose holes predict to fractions: a uint8 state
+    # must give the float64 predictions, not truncate them.
+    values = np.random.default_rng(5).integers(0, 256, (8, 8)).astype(np.float64)
+    missing = np.zeros((8, 8), bool)
+    missing[3:5, 2:6] = True
+    want_values, want_filled = run_pass(values, missing)
+    assert not np.array_equal(want_values, np.floor(want_values))
+    got_values, got_filled = run_pass(values.astype(np.uint8), missing)
+    assert got_values.dtype == np.float64
+    assert np.array_equal(got_filled, want_filled) and got_filled.any()
+    assert got_values.tobytes() == want_values.tobytes()
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            run_pass(np.full((8, 8), bad), missing)
 
 
 def test_run_pass_three_wide_band_fills_nothing():
