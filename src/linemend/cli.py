@@ -36,14 +36,7 @@ class SweepRecord:
     ssim: float
 
 
-def run_sweep(
-    image: Image,
-    mode: str,
-    lo: int,
-    hi: int,
-    seeds: int,
-    max_passes: int = 64,
-) -> list[SweepRecord]:
+def run_sweep(image: Image, mode: str, lo: int, hi: int, seeds: int) -> list[SweepRecord]:
     """Degrade -> inpaint -> score over a parameter range and seed set.
 
     mode "lines" sweeps the defect-line count at width 1; mode "width"
@@ -57,7 +50,6 @@ def run_sweep(
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     if lo > hi:
         raise ValueError(f"empty sweep range: min {lo} > max {hi}")
-    config = EngineConfig(max_passes=max_passes)
     records = []
     for value in range(lo, hi + 1):
         for seed in range(seeds):
@@ -67,7 +59,7 @@ def run_sweep(
                 spec = LineSpec(count=2, width=value, seed=seed)
             mask = generate_line_mask(image.width, image.height, spec)
             degraded = apply_mask(image, mask)
-            restored = inpaint(degraded, mask, config)
+            restored = inpaint(degraded, mask)
             records.append(
                 SweepRecord(
                     param_name=mode,
@@ -124,7 +116,7 @@ def _cmd_sweep(args) -> int:
     image = load_pnm(args.input)
     lo = args.min if args.min is not None else 1
     hi = args.max if args.max is not None else (10 if args.mode == "lines" else 15)
-    records = run_sweep(image, args.mode, lo, hi, args.seeds, max_passes=args.max_passes)
+    records = run_sweep(image, args.mode, lo, hi, args.seeds)
     Path(args.csv).write_text(format_sweep_csv(records), encoding="ascii", newline="")
     for value in range(lo, hi + 1):
         group = [r.psnr_db for r in records if r.param_value == value]
@@ -165,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, default=None, help="range end (default 10 lines / 15 width)")
     p.add_argument("--seeds", type=int, default=10, help="seeds 0..N-1 per parameter value")
     p.add_argument("--csv", required=True, help="output CSV path")
-    p.add_argument("--max-passes", type=int, default=64)
     p.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -89,9 +89,9 @@ def generate_line_mask(width: int, height: int, spec: LineSpec) -> Mask:
     return Mask(degraded)
 
 
-def apply_mask(image: Image, mask: Mask, fill: float = 0.0) -> Image:
-    """Blank out the masked pixels of every channel with ``fill``."""
+def apply_mask(image: Image, mask: Mask) -> Image:
+    """Set the masked pixels of every channel to 0."""
     require_same_grid(image, mask)
     data = image.data.copy()
-    data[mask.degraded] = fill
+    data[mask.degraded] = 0.0
     return Image(data)

@@ -9,10 +9,11 @@ accepted and has no effect. Since a hole's predictors depend only on
 which of its 16 line pixels are missing, a round after the first
 re-predicts only the holes whose stencil the round before changed; the
 rest are still unfillable. Pixels that never acquire a complete
-predictor line (deep hole interiors) are finished by a growing-window
-mean fallback over summed-area tables that stop where the residual
-holes' largest windows end. Every committed value is clamped to
-[0, 255].
+predictor line (deep hole interiors) are finished by the mean of the
+known pixels in a growing window of at most 21 x 21, read from one
+summed-area table that stacks the known-pixel count with the channel
+sums and stops where the residual holes' largest windows end. Every
+committed value is clamped to [0, 255].
 
 Per missing pixel and channel, the predictions of the available slots
 of kernels.SLOTS are averaged: four directional line predictions and
@@ -26,7 +27,7 @@ a hole are fixed flat offsets with no bounds checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,17 +37,14 @@ from .raster import DimensionMismatch, Image, Mask, require_same_grid
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Engine knobs; the defaults handle defect lines up to 15 px wide."""
+    """The cap on Jacobi fill rounds, an integer >= 1 (ValueError otherwise)."""
 
     max_passes: int = 64
-    fallback_window_limit: int = 21
 
     def __post_init__(self):
-        if self.max_passes < 1:
-            raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
-        w = self.fallback_window_limit
-        if w < 3 or w % 2 == 0:
-            raise ValueError(f"fallback_window_limit must be odd and >= 3, got {w}")
+        n = self.max_passes
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"max_passes must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -54,13 +52,20 @@ class InpaintReport:
     """Outcome of a full restoration run."""
 
     image: Image
-    passes: int
-    pass_fill_counts: tuple[int, ...] = field(default=())
-    fallback_filled: int = 0
+    pass_fill_counts: tuple[int, ...]
+    fallback_filled: int
+
+    @property
+    def passes(self) -> int:
+        return len(self.pass_fill_counts)
 
     @property
     def predictor_filled(self) -> int:
         return int(sum(self.pass_fill_counts))
+
+
+# Half-width of the largest box-mean fallback window (21 x 21).
+_FALLBACK_REACH = 10
 
 
 def _pad_missing(missing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,14 +157,14 @@ def run_pass(values: np.ndarray, missing: np.ndarray, config: EngineConfig | Non
         raise DimensionMismatch(
             f"missing has shape {missing.shape} but values have grid {new_values.shape[:2]}"
         )
-    _, residual, _, _ = _jacobi_rounds(new_values, missing, EngineConfig(max_passes=1))
+    _, residual, _, _ = _jacobi_rounds(new_values, missing, 1)
     filled = missing & ~residual
     return (new_values[:, :, 0] if squeeze else new_values), filled
 
 
-def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, config: EngineConfig):
+def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
     """Run fill rounds over the C-contiguous ``values`` in place until one
-    fills nothing, no hole remains, or ``config.max_passes`` rounds have run.
+    fills nothing, no hole remains, or ``max_passes`` rounds have run.
 
     Returns (fill counts per round, the residual missing set, and the
     row and column indices of its pixels in row-major order). A hole's
@@ -178,7 +183,7 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, config: EngineConfi
     offsets = [dr * stride + dc for dr, dc in NEIGHBOR_OFFSETS]
     candidates = holes
     fill_counts: list[int] = []
-    while holes.size and len(fill_counts) < config.max_passes:
+    while holes.size and len(fill_counts) < max_passes:
         fillable = _fill_round(values, missing_at, candidates)
         done = candidates[fillable]
         fill_counts.append(done.size)
@@ -196,62 +201,49 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, config: EngineConfi
     return fill_counts, padded[2:-2, 2:-2], rows - 2, cols - 2
 
 
-def _integral(plane: np.ndarray) -> np.ndarray:
-    """Summed-area table of ``plane`` with a zero first row and column.
-
-    The axis-0 prefix sums are accumulated row by row into the table:
-    the same sequential additions as ``cumsum(axis=0)``, without its
-    strided walk down the columns.
-    """
-    height, width = plane.shape
-    out = np.zeros((height + 1, width + 1), dtype=np.float64)
-    for r in range(height):
-        np.add(out[r, 1:], plane[r], out=out[r + 1, 1:])
-    body = out[1:, 1:]
-    np.cumsum(body, axis=1, out=body)
-    return out
-
-
-def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                   config: EngineConfig) -> int:
+def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> int:
     """Fill the residual holes at (``rows``, ``cols``), which are all the
     pixels of ``missing``, with the mean of the known pixels in the
-    smallest centered odd window that contains one (else 128).
+    smallest centered odd window up to 21 x 21 that contains one (else 128).
 
-    Window sums come from summed-area tables of the known pixels. An
-    entry of such a table depends only on the rows and columns before
-    it, so the tables stop where the largest window of the lowest and of
-    the rightmost hole ends; each growing half-width looks only at the
-    holes no smaller window resolved. Mutates ``values``.
+    Window counts and sums come from one summed-area table whose plane 0
+    sums the known-pixel indicator and whose planes 1..C sum the known
+    values. An entry depends only on the rows and columns before it, so
+    the table stops where the largest window of the lowest and of the
+    rightmost hole ends; each growing half-width looks only at the holes
+    no smaller window resolved. Mutates ``values``.
     """
     if rows.size == 0:
         return 0
     height, width, channels = values.shape
     out = np.full((rows.size, channels), 128.0)
     if rows.size < height * width:  # some pixel is known
-        reach = config.fallback_window_limit // 2
-        bottom = min(int(rows.max()) + reach + 1, height)
-        right = min(int(cols.max()) + reach + 1, width)
-        known = ~missing[:bottom, :right]
-        count_int = _integral(known.astype(np.float64))
-        sum_ints = [_integral(values[:bottom, :right, ch] * known) for ch in range(channels)]
+        bottom = min(int(rows.max()) + _FALLBACK_REACH + 1, height)
+        right = min(int(cols.max()) + _FALLBACK_REACH + 1, width)
+        table = np.zeros((bottom + 1, right + 1, channels + 1))
+        body = table[1:, 1:]
+        body[..., 0] = ~missing[:bottom, :right]
+        np.multiply(values[:bottom, :right], body[..., :1], out=body[..., 1:])
+        # Axis-0 prefix sums row by row: the same sequential additions as
+        # cumsum(axis=0), without its strided walk down the columns.
+        for r in range(bottom):
+            np.add(table[r, 1:], body[r], out=body[r])
+        np.cumsum(body, axis=1, out=body)
+        flat = table.reshape(-1, channels + 1)
+        stride = right + 1
         pending = np.arange(rows.size)
-        for half in range(1, reach + 1):
+        for half in range(1, _FALLBACK_REACH + 1):
             r, c = rows[pending], cols[pending]
-            r0 = np.maximum(r - half, 0)
-            r1 = np.minimum(r + half + 1, height)
+            r0 = np.maximum(r - half, 0) * stride
+            r1 = np.minimum(r + half + 1, height) * stride
             c0 = np.maximum(c - half, 0)
             c1 = np.minimum(c + half + 1, width)
-            counts = (
-                count_int[r1, c1] - count_int[r0, c1] - count_int[r1, c0] + count_int[r0, c0]
+            box = (
+                np.take(flat, r1 + c1, axis=0) - np.take(flat, r0 + c1, axis=0)
+                - np.take(flat, r1 + c0, axis=0) + np.take(flat, r0 + c0, axis=0)
             )
-            hit = counts > 0
-            done = pending[hit]
-            r0, r1, c0, c1, counts = r0[hit], r1[hit], c0[hit], c1[hit], counts[hit]
-            for ch in range(channels):
-                s = sum_ints[ch]
-                sums = s[r1, c1] - s[r0, c1] - s[r1, c0] + s[r0, c0]
-                out[done, ch] = sums / counts
+            hit = box[:, 0] > 0
+            out[pending[hit]] = box[hit, 1:] / box[hit, :1]
             pending = pending[~hit]
             if pending.size == 0:
                 break
@@ -269,14 +261,9 @@ def inpaint_report(image: Image, mask: Mask, config: EngineConfig | None = None,
     config = config or EngineConfig()
     require_same_grid(image, mask)
     values = image.data.copy()
-    fill_counts, missing, rows, cols = _jacobi_rounds(values, mask.degraded, config)
-    fallback_count = _fallback_fill(values, missing, rows, cols, config)
-    return InpaintReport(
-        image=Image(values),
-        passes=len(fill_counts),
-        pass_fill_counts=tuple(fill_counts),
-        fallback_filled=fallback_count,
-    )
+    fill_counts, missing, rows, cols = _jacobi_rounds(values, mask.degraded, config.max_passes)
+    fallback_count = _fallback_fill(values, missing, rows, cols)
+    return InpaintReport(image=Image(values), pass_fill_counts=tuple(fill_counts), fallback_filled=fallback_count)
 
 
 def inpaint(image: Image, mask: Mask, config: EngineConfig | None = None, workers: int = 1) -> Image:

@@ -116,8 +116,8 @@ def test_apply_mask_blanks_all_channels():
     rng = np.random.default_rng(9)
     img = Image(rng.uniform(1.0, 255.0, (8, 8, 3)))
     mask = Mask(rng.random((8, 8)) < 0.5)
-    out = apply_mask(img, mask, fill=3.0)
-    assert np.all(out.data[mask.degraded] == 3.0)
+    out = apply_mask(img, mask)
+    assert np.all(out.data[mask.degraded] == 0.0)
     assert np.array_equal(out.data[~mask.degraded], img.data[~mask.degraded])
 
 

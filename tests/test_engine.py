@@ -318,10 +318,10 @@ def _integral_oracle(plane):
     return out
 
 
-def fallback_oracle(values, missing, config):
-    """The box-mean fallback over whole-image summed-area tables, with
-    every window size evaluated for every hole. Mutates ``values``;
-    returns the number of pixels filled."""
+def fallback_oracle(values, missing):
+    """The box-mean fallback over whole-image summed-area tables, one per
+    plane, with every window size up to 21 x 21 evaluated for every hole.
+    Mutates ``values``; returns the number of pixels filled."""
     rows, cols = np.nonzero(missing)
     if rows.size == 0:
         return 0
@@ -332,7 +332,7 @@ def fallback_oracle(values, missing, config):
         count_int = _integral_oracle(known.astype(np.float64))
         sum_ints = [_integral_oracle(values[:, :, ch] * known) for ch in range(channels)]
         remaining = np.ones(rows.size, dtype=bool)
-        for half in range(1, config.fallback_window_limit // 2 + 1):
+        for half in range(1, 11):
             if not remaining.any():
                 break
             r0 = np.maximum(rows - half, 0)
@@ -366,7 +366,7 @@ def reference_report(image, mask, config, workers):
         if fills[-1] == 0:
             break
         missing &= ~filled
-    fallback = fallback_oracle(values, missing, config)
+    fallback = fallback_oracle(values, missing)
     return values, tuple(fills), fallback
 
 
@@ -539,63 +539,57 @@ def test_fallback_growing_window_oracle():
 
 
 def test_fallback_window_limit_gives_128():
-    # Known pixels exist but sit beyond the window limit.
+    # Known pixels exist but sit beyond the 21 x 21 window limit.
     data = np.full((40, 40), 200.0)
     missing = np.ones((40, 40), bool)
     missing[0, 0] = False
-    out = inpaint(Image(data), Mask(missing), EngineConfig(fallback_window_limit=3))
-    # pixels adjacent to (0,0) average it; everything farther gets 128
+    out = inpaint(Image(data), Mask(missing))
+    # pixels within 10 of (0,0) average it; everything farther gets 128
     assert out.data[20, 20, 0] == 128.0
     assert out.data[0, 1, 0] == 200.0
 
 
-def _check_fallback(values, missing, config):
+def _check_fallback(values, missing):
     want = values.copy()
-    want_count = fallback_oracle(want, missing, config)
+    want_count = fallback_oracle(want, missing)
     got = values.copy()
-    got_count = _fallback_fill(got, missing, *np.nonzero(missing), config)
+    got_count = _fallback_fill(got, missing, *np.nonzero(missing))
     assert got_count == want_count
     assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=120, deadline=None)
-@given(
-    case=masked_images(),
-    limit=st.sampled_from([3, 5, 21]),
-    edges=st.booleans(),
-    predicted=st.booleans(),
-)
-def test_fallback_matches_whole_image_oracle(case, limit, edges, predicted):
+@given(case=masked_images(), edges=st.booleans(), predicted=st.booleans())
+def test_fallback_matches_whole_image_oracle(case, edges, predicted):
     image, mask = case
     values = np.floor(image.data)
     missing = mask.degraded.copy()
     if edges:
         missing[-1, :] = True
         missing[:, -1] = True
-    config = EngineConfig(fallback_window_limit=limit)
     if predicted:
         # Known pixels then include non-integer predictor output.
-        values, filled = run_pass(values, missing, config)
+        values, filled = run_pass(values, missing)
         missing &= ~filled
-    _check_fallback(values, missing, config)
+    _check_fallback(values, missing)
 
 
-@pytest.mark.parametrize("limit", [3, 5, 21])
 @pytest.mark.parametrize("channels", [1, 3])
-def test_fallback_matches_oracle_out_of_reach(limit, channels):
+def test_fallback_matches_oracle_out_of_reach(channels):
     # One known pixel in the far corner of a 40x40 hole: past the window
     # limit the value is 128; the bottom row and right column are holes.
-    values = np.random.default_rng(limit).uniform(0.0, 255.0, (40, 40, channels))
+    values = np.random.default_rng(21).uniform(0.0, 255.0, (40, 40, channels))
     missing = np.ones((40, 40), bool)
     missing[0, 0] = False
-    _check_fallback(values, missing, EngineConfig(fallback_window_limit=limit))
-    _check_fallback(values, np.ones((40, 40), bool), EngineConfig(fallback_window_limit=limit))
+    _check_fallback(values, missing)
+    _check_fallback(values, np.ones((40, 40), bool))
 
 
 def test_engine_config_validation():
-    with pytest.raises(ValueError):
-        EngineConfig(max_passes=0)
-    with pytest.raises(ValueError):
-        EngineConfig(fallback_window_limit=4)
-    with pytest.raises(ValueError):
-        EngineConfig(fallback_window_limit=1)
+    # The pass cap is a count: a float such as 1.5 or 2.0 is rejected,
+    # not rounded up by the pass loop's comparison.
+    for bad in (0, -1, 1.5, 2.0, "2", None, True):
+        with pytest.raises(ValueError, match="max_passes"):
+            EngineConfig(max_passes=bad)
+    image, mask = creeping_band()
+    assert inpaint_report(image, mask, EngineConfig(max_passes=np.int64(3))).passes == 3
