@@ -19,17 +19,21 @@ from .raster import Image, Mask, require_same_grid
 
 @dataclass(frozen=True)
 class LineSpec:
-    """How many defect lines to draw, how wide, and with which seed."""
+    """How many defect lines to draw, how wide, and with which seed.
+
+    ``count`` must be an integer >= 0 and ``width`` an integer >= 1
+    (ValueError otherwise); a bool is not an integer here.
+    """
 
     count: int
     width: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        if self.count < 0:
-            raise ValueError(f"count must be >= 0, got {self.count}")
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
+        for name, low in (("count", 0), ("width", 1)):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {n!r}")
 
 
 def _line_points(r0: int, c0: int, r1: int, c1: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,11 +18,13 @@ committed value is clamped to [0, 255].
 Per missing pixel and channel, the predictions of the available slots
 of kernels.SLOTS are averaged: four directional line predictions and
 two surface predictions. A slot is available when every line it names
-has all four pixels known. When all four line predictions exist, the
-one most deviant from their mean is first replaced by the mean of the
-other three. Missing-ness is read from a copy of the mask padded by 2
-on every side whose border counts as missing, so the 16 neighbours of
-a hole are fixed flat offsets with no bounds checks.
+has all four pixels known; a slot is gathered and predicted only where
+it is available, so every tap read is a known pixel inside the image.
+When all four line predictions exist, the one most deviant from their
+mean is first replaced by the mean of the other three. Missing-ness is
+read from a copy of the mask padded by 2 on every side whose border
+counts as missing, so the 16 neighbours of a hole are fixed flat
+offsets with no bounds checks.
 """
 
 from __future__ import annotations
@@ -86,11 +88,12 @@ def _fill_round(values: np.ndarray, missing_at: np.ndarray, holes: np.ndarray) -
     """One Jacobi round over the holes at flat indices ``holes`` of the
     padded grid whose flattened missing set is ``missing_at``.
 
-    ``values`` is the C-contiguous (height, width, channels) state. Values
-    are gathered and predicted for the holes with a fillable slot only;
-    every gather is made before the fillable holes are committed into
-    ``values`` in place, clamped to [0, 255]. ``missing_at`` is not
-    modified. Returns the boolean fillable set over ``holes``.
+    ``values`` is the C-contiguous (height, width, channels) state. Each
+    slot is gathered and predicted only at the holes where it is
+    available, so every tap read is a known pixel. Every gather is made
+    before the fillable holes are committed into ``values`` in place,
+    clamped to [0, 255]. ``missing_at`` is not modified. Returns the
+    boolean fillable set over ``holes``.
     """
     _, width, channels = values.shape
     stride = width + 4
@@ -107,29 +110,24 @@ def _fill_round(values: np.ndarray, missing_at: np.ndarray, holes: np.ndarray) -
     cells = (rows - 2) * width + (cols - 2)
 
     flat = values.reshape(-1, channels)
-    preds = np.empty((len(SLOTS), cells.size, channels), dtype=np.float64)
+    preds = np.zeros((len(SLOTS), cells.size, channels), dtype=np.float64)
     for s, (first, w, _) in enumerate(SLOTS):
-        # A tap of a slot that is not available may fall off the image;
-        # clipping its index keeps the gather in range, and the value is
-        # never used.
-        v0, v1, v2, v3 = (
-            np.take(flat, cells + (dr * width + dc), axis=0, mode="clip")
-            for dr, dc in NEIGHBOR_OFFSETS[first : first + 4]
-        )
-        preds[s] = w[0] * v0 + w[1] * v1 + w[2] * v2 + w[3] * v3
+        at = np.flatnonzero(ok[s])
+        base = cells[at]
+        v0, v1, v2, v3 = (flat[base + (dr * width + dc)] for dr, dc in NEIGHBOR_OFFSETS[first : first + 4])
+        preds[s, at] = w[0] * v0 + w[1] * v1 + w[2] * v2 + w[3] * v3
 
     all_lines = ok[0] & ok[1] & ok[2] & ok[3]  # slots 0-3 are the lines
-    if all_lines.any():
-        lines = preds[:4, all_lines]
-        mean = (lines[0] + lines[1] + lines[2] + lines[3]) * 0.25
-        worst = np.abs(lines - mean).argmax(axis=0)  # first index wins ties
-        worst_val = np.take_along_axis(lines, worst[None], axis=0)[0]
-        np.put_along_axis(lines, worst[None], ((4.0 * mean - worst_val) / 3.0)[None], axis=0)
-        preds[:4, all_lines] = lines
+    lines = preds[:4, all_lines]
+    mean = (lines[0] + lines[1] + lines[2] + lines[3]) * 0.25
+    worst = np.abs(lines - mean).argmax(axis=0)  # first index wins ties
+    worst_val = np.take_along_axis(lines, worst[None], axis=0)[0]
+    np.put_along_axis(lines, worst[None], ((4.0 * mean - worst_val) / 3.0)[None], axis=0)
+    preds[:4, all_lines] = lines
 
     total = np.zeros((cells.size, channels), dtype=np.float64)
     for s in range(len(SLOTS)):
-        total += np.where(ok[s][:, None], preds[s], 0.0)
+        total += preds[s]  # zero where slot s is not available
     flat[cells] = np.clip(total / ok.sum(axis=0)[:, None], 0.0, 255.0)
     return fillable
 

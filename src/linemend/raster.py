@@ -170,7 +170,8 @@ def save_pnm(image: Image, path: str | os.PathLike) -> None:
         raise ValueError(
             f"samples outside [0, 255] (min {data.min():g}, max {data.max():g}); clamp before saving"
         )
-    quantized = np.floor(data + 0.5).astype(np.uint8)
+    # data + 0.5 lies in [0.5, 255.5], where the truncating cast is floor.
+    quantized = (data + 0.5).astype(np.uint8)
     magic = "P5" if image.channels == 1 else "P6"
     header = f"{magic}\n{image.width} {image.height}\n255\n".encode("ascii")
     Path(path).write_bytes(header + quantized.tobytes())

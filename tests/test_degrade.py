@@ -99,6 +99,22 @@ def test_rejects_small_images_and_wide_lines():
         LineSpec(count=1, width=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("count", 2.0), ("count", True), ("count", "2"), ("count", None),
+    ("width", 2.5), ("width", True), ("width", np.float64(2.0)),
+])
+def test_linespec_rejects_non_integers(field, value):
+    kwargs = {"count": 2, "width": 2, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        LineSpec(**kwargs)
+
+
+def test_linespec_accepts_numpy_integers():
+    spec = LineSpec(count=np.int64(2), width=np.int32(3), seed=4)
+    expected = generate_line_mask(64, 64, LineSpec(count=2, width=3, seed=4))
+    assert np.array_equal(generate_line_mask(64, 64, spec).degraded, expected.degraded)
+
+
 def test_apply_mask_pointwise():
     img = Image(np.full((6, 6), 7.0))
     empty = apply_mask(img, Mask(np.zeros((6, 6), bool)))

@@ -179,6 +179,34 @@ def test_fill_round_zero_holes():
     assert values.tobytes() == before.tobytes()
 
 
+def test_fill_round_reads_only_known_pixels():
+    # Masked pixels hold +-inf. A round that read any of them, even for a
+    # slot it then discarded, would raise under errstate(all="raise").
+    rng = np.random.default_rng(21)
+    height, width = 16, 18
+    missing = rng.random((height, width)) < 0.3
+    missing[0, ::3] = True
+    missing[::4, -1] = True
+    known = rng.uniform(0.0, 255.0, (height, width, 2))
+    values = known.copy()
+    values[missing] = np.where(rng.random((int(missing.sum()), 1)) < 0.5, np.inf, -np.inf)
+    padded, holes = _pad_missing(missing)
+    with np.errstate(all="raise"):
+        fillable = _fill_round(values, padded.ravel(), holes)
+
+    # The same round over finite placeholders commits the same values.
+    expected = known.copy()
+    expected[missing] = 0.0
+    _fill_round(expected, padded.ravel(), holes)
+    rows, cols = np.divmod(holes[fillable], width + 4)
+    assert fillable.any()
+    assert (rows == 2).any() and (cols == width + 1).any()  # first row, last column
+    assert np.isfinite(values[rows - 2, cols - 2]).all()
+    assert values[rows - 2, cols - 2].tobytes() == expected[rows - 2, cols - 2].tobytes()
+    assert np.isinf(values[missing]).sum() == 2 * (holes.size - rows.size)
+    assert values[~missing].tobytes() == known[~missing].tobytes()
+
+
 def test_run_pass_leaves_arguments_unmodified():
     rng = np.random.default_rng(11)
     values = rng.uniform(0.0, 255.0, (20, 20, 3))

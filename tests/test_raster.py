@@ -92,15 +92,16 @@ def test_round_trip_integer_images(tmp_path):
 
 def test_save_rounds_half_up(tmp_path):
     # Oracle: round-half-up is floor(x + 0.5).
-    vals = np.array([[0.0, 0.4, 0.5, 1.5, 127.5, 254.4, 254.5, 255.0]])
+    vals = np.array([[0.0, 0.4, 0.49999999999999994, 0.5, 1.5, 127.5, 254.4, 254.5, 255.0]])
     img = Image(vals)
     path = tmp_path / "round.pgm"
     save_pnm(img, path)
     back = load_pnm(path)
     expected = np.floor(vals + 0.5)
     assert np.array_equal(back.data[:, :, 0], expected)
-    assert back.data[0, 4, 0] == 128.0  # 127.5 rounds up
-    assert back.data[0, 5, 0] == 254.0
+    assert back.data[0, 2, 0] == 1.0  # x + 0.5 rounds up to 1.0 in float64
+    assert back.data[0, 5, 0] == 128.0  # 127.5 rounds up
+    assert back.data[0, 6, 0] == 254.0
 
     # dense fractional grid against the same oracle
     rng = np.random.default_rng(44)
