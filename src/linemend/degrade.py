@@ -1,11 +1,13 @@
 """Seeded synthetic line-defect generation.
 
 Each defect is a straight scratch crossing the full image between two
-uniformly drawn points on opposite borders, rasterized with the integer
-midpoint (Bresenham) algorithm and thickened to an exact pixel width by
-stacking parallel copies along the line's minor axis. Generation is a
-pure function of (dimensions, spec): the same seed always yields the
-same mask, and widening or adding lines only ever grows the mask.
+uniformly drawn points on opposite borders. Its integer midpoint
+(Bresenham) path is computed in closed form: pixel t lies t steps along
+the major axis and t*|d|/n along the minor one, rounded to nearest with
+halves toward the start. Copies stacked along the minor axis thicken it
+to an exact pixel width. Generation is a pure function of (dimensions,
+spec): the same seed always yields the same mask, and widening or adding
+lines only ever grows the mask.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .raster import Image, Mask, require_same_grid
 class LineSpec:
     """How many defect lines to draw, how wide, and with which seed.
 
-    ``count`` must be an integer >= 0 and ``width`` an integer >= 1
-    (ValueError otherwise); a bool is not an integer here.
+    ``count`` and ``seed`` must be integers >= 0 and ``width`` an integer
+    >= 1 (ValueError otherwise); a bool is not an integer here.
     """
 
     count: int
@@ -30,34 +32,28 @@ class LineSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("count", 0), ("width", 1)):
+        for name, low in (("count", 0), ("width", 1), ("seed", 0)):
             n = getattr(self, name)
             if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {n!r}")
 
 
 def _line_points(r0: int, c0: int, r1: int, c1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer midpoint rasterization; visits max(|dr|, |dc|) + 1 pixels."""
-    dr = abs(r1 - r0)
-    dc = abs(c1 - c0)
-    sr = 1 if r0 < r1 else -1
-    sc = 1 if c0 < c1 else -1
-    err = dc - dr
-    rows, cols = [], []
-    r, c = r0, c0
-    while True:
-        rows.append(r)
-        cols.append(c)
-        if r == r1 and c == c1:
-            break
-        e2 = 2 * err
-        if e2 > -dr:
-            err -= dr
-            c += sc
-        if e2 < dc:
-            err += dc
-            r += sr
-    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+    """Integer midpoint rasterization; visits max(|dr|, |dc|) + 1 pixels.
+
+    With n = max(|dr|, |dc|), m = max(n, 1) and t = 0..n, pixel t sits on
+    an axis of signed extent d at start + sign(d) * ((2*t*|d| + m - 1) // (2*m)):
+    t on the major axis, t*|d|/m rounded to nearest (halves toward the
+    start) on the minor one. This is the path of Bresenham's error-term loop.
+    """
+    n = max(abs(r1 - r0), abs(c1 - c0))
+    m = max(n, 1)
+    t = np.arange(n + 1, dtype=np.intp)
+
+    def axis(start, d):
+        return start + np.sign(d) * ((2 * t * abs(d) + m - 1) // (2 * m))
+
+    return axis(r0, r1 - r0), axis(c0, c1 - c0)
 
 
 def generate_line_mask(width: int, height: int, spec: LineSpec) -> Mask:

@@ -97,13 +97,11 @@ def _fill_round(values: np.ndarray, missing_at: np.ndarray, holes: np.ndarray) -
     """
     _, width, channels = values.shape
     stride = width + 4
-    complete = []
-    for first in range(0, len(NEIGHBOR_OFFSETS), 4):
-        gap = np.zeros(holes.size, dtype=bool)
-        for dr, dc in NEIGHBOR_OFFSETS[first : first + 4]:
-            gap |= missing_at[holes + (dr * stride + dc)]
-        complete.append(~gap)
-    ok = np.array([np.logical_and.reduce([complete[d] for d in lines]) for *_, lines in SLOTS])
+    gaps = [
+        np.logical_or.reduce([missing_at[holes + (dr * stride + dc)] for dr, dc in NEIGHBOR_OFFSETS[k : k + 4]])
+        for k in range(0, len(NEIGHBOR_OFFSETS), 4)
+    ]
+    ok = ~np.array([np.logical_or.reduce([gaps[d] for d in lines]) for *_, lines in SLOTS])
     fillable = ok.any(axis=0)
     ok = ok[:, fillable]
     rows, cols = np.divmod(holes[fillable], stride)
@@ -125,10 +123,8 @@ def _fill_round(values: np.ndarray, missing_at: np.ndarray, holes: np.ndarray) -
     np.put_along_axis(lines, worst[None], ((4.0 * mean - worst_val) / 3.0)[None], axis=0)
     preds[:4, all_lines] = lines
 
-    total = np.zeros((cells.size, channels), dtype=np.float64)
-    for s in range(len(SLOTS)):
-        total += preds[s]  # zero where slot s is not available
-    flat[cells] = np.clip(total / ok.sum(axis=0)[:, None], 0.0, 255.0)
+    # preds is zero where a slot is not available.
+    flat[cells] = np.clip(preds.sum(axis=0) / ok.sum(axis=0)[:, None], 0.0, 255.0)
     return fillable
 
 

@@ -7,6 +7,9 @@ separable Keys cubic-convolution midpoint upsampling and reads the
 surface centers off the refined grids. A surface's availability here
 comes from whether its selection could be built, not from the engine's
 slot table, so agreement between the two is an independent check.
+
+It also holds the scratch rasterizer's reference: Bresenham's
+error-term loop, one pixel per step.
 """
 
 from __future__ import annotations
@@ -274,3 +277,28 @@ def prediction_bundle(neighborhood: Neighborhood) -> PredictionBundle:
         upsample_center(hmat) if hmat is not None else None,
     )
     return PredictionBundle(line_predictions=tuple(line), surface_predictions=surfaces)
+
+
+def line_points(r0: int, c0: int, r1: int, c1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer midpoint (Bresenham) rasterization from (r0, c0) to (r1, c1),
+    stepping the error term one pixel at a time."""
+    dr = abs(r1 - r0)
+    dc = abs(c1 - c0)
+    sr = 1 if r0 < r1 else -1
+    sc = 1 if c0 < c1 else -1
+    err = dc - dr
+    rows, cols = [], []
+    r, c = r0, c0
+    while True:
+        rows.append(r)
+        cols.append(c)
+        if r == r1 and c == c1:
+            break
+        e2 = 2 * err
+        if e2 > -dr:
+            err -= dr
+            c += sc
+        if e2 < dc:
+            err += dc
+            r += sr
+    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linemend import Image, Mask, load_pnm, mask_to_pgm, save_pnm
+from linemend import Image, LineSpec, Mask, generate_line_mask, load_pnm, mask_to_pgm, save_pnm
 from linemend.cli import main
 
 from conftest import natural_image
@@ -85,6 +85,32 @@ def test_degrade_deterministic(tmp_path, small_image, capsys):
         assert rc == 0
         outs.append((mask_out.read_bytes(), img_out.read_bytes()))
     assert outs[0] == outs[1]
+
+
+def test_degrade_rejects_negative_seed(tmp_path, small_image, capsys):
+    rc = main([
+        "degrade", "--input", str(small_image), "--lines", "1", "--seed", "-1",
+        "--mask", str(tmp_path / "m.pgm"), "--output", str(tmp_path / "d.pgm"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("flag, printed, rc", [
+    ([], "passes=24\nfilled_predictor=88\nfilled_fallback=8\n", 0),
+    (["--max-passes", "1"], "passes=1\nfilled_predictor=2\nfilled_fallback=94\n", 0),
+    (["--max-passes", "0"], "error: max_passes must be an integer >= 1, got 0\n", 1),
+])
+def test_inpaint_max_passes(tmp_path, capsys, flag, printed, rc):
+    # A 16x48 image with one nearly axis-aligned width-2 scratch, which the
+    # predictor fills a few pixels per pass.
+    save_pnm(Image(np.random.default_rng(1).uniform(0.0, 255.0, (16, 48))), tmp_path / "in.pgm")
+    mask_to_pgm(generate_line_mask(48, 16, LineSpec(count=1, width=2, seed=19)), tmp_path / "m.pgm")
+    args = ["inpaint", "--input", str(tmp_path / "in.pgm"), "--mask", str(tmp_path / "m.pgm"),
+            "--output", str(tmp_path / "out.pgm"), *flag]
+    assert main(args) == rc
+    captured = capsys.readouterr()
+    assert (captured.err if rc else captured.out) == printed
 
 
 def test_degrade_count_bound_512(tmp_path, natural512_pgm, capsys):

@@ -1,11 +1,17 @@
-"""Line-defect generator tests: determinism, coverage monotonicity, and
-pixel-count oracles for rasterized scratches."""
+"""Line-defect generator tests: determinism, coverage monotonicity,
+pixel-count oracles for rasterized scratches, and the closed-form
+rasterizer checked against the error-term loop of oracle.py, pixel for
+pixel."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linemend import Image, LineSpec, Mask, apply_mask, generate_line_mask, inpaint
 from linemend.degrade import _line_points
+
+from oracle import line_points
 
 
 def test_zero_lines_all_intact():
@@ -66,6 +72,39 @@ def test_line_pixel_count_oracle():
         assert rows[0] == r0 and cols[0] == c0 and rows[-1] == r1 and cols[-1] == c1
 
 
+def assert_same_path(r0, c0, r1, c1):
+    rows, cols = _line_points(r0, c0, r1, c1)
+    want_rows, want_cols = line_points(r0, c0, r1, c1)
+    assert rows.dtype == cols.dtype == np.intp
+    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+
+
+def test_line_points_match_loop_on_short_lines():
+    # Every sign combination and every slope with |dr|, |dc| <= 40.
+    for dr in range(-40, 41):
+        for dc in range(-40, 41):
+            assert_same_path(50, 60, 50 + dr, 60 + dc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ends=st.tuples(*[st.integers(0, 1023)] * 4))
+def test_line_points_match_loop_in_1024_grid(ends):
+    assert_same_path(*ends)
+
+
+# The width sweep's first masks at benchmark seeds 0, 3 and 1009, and the
+# two scratch patterns.
+@pytest.mark.parametrize("size, spec", [
+    *((512, LineSpec(2, w, s)) for w in range(1, 16) for s in (0, 3000, 1009000)),
+    (1024, LineSpec(8, 2, 0)),
+    (1024, LineSpec(8, 2, 6)),
+])
+def test_benchmark_masks_match_loop_rasterizer(monkeypatch, size, spec):
+    mask = generate_line_mask(size, size, spec)
+    monkeypatch.setattr("linemend.degrade._line_points", line_points)
+    assert np.array_equal(mask.degraded, generate_line_mask(size, size, spec).degraded)
+
+
 def test_axis_aligned_line_by_seed_search():
     # Find a seed whose single line is exactly vertical; its pixel count
     # must equal the crossing span (height).
@@ -102,6 +141,7 @@ def test_rejects_small_images_and_wide_lines():
 @pytest.mark.parametrize("field, value", [
     ("count", 2.0), ("count", True), ("count", "2"), ("count", None),
     ("width", 2.5), ("width", True), ("width", np.float64(2.0)),
+    ("seed", None), ("seed", True), ("seed", 1.5), ("seed", "3"), ("seed", -1),
 ])
 def test_linespec_rejects_non_integers(field, value):
     kwargs = {"count": 2, "width": 2, field: value}

@@ -316,6 +316,29 @@ def test_run_pass_matches_scalar_reference(case):
                 assert new_values[r, c, ch] == min(max(want, 0.0), 255.0)
 
 
+def test_run_pass_outlier_tie_break():
+    # One hole at the centre of a 9x9 image whose four lines are constant,
+    # per channel (horizontal, vertical, main diagonal, anti-diagonal).
+    # The surfaces read the vertical and the horizontal taps.
+    lines = [(0, 0, 6, 6), (3, 0, 6, 3), (3, 9, 5, 30)]
+    expected = [
+        (4 + 0 + 6 + 6 + 0 + 0) / 6,  # mean 3, four-way tie: horizontal 0 -> 4
+        (3 + 4 + 6 + 3 + 0 + 3) / 6,  # mean 3, vertical and main diagonal tie: vertical 0 -> 4
+        (3 + 9 + 5 + (47 - 30) / 3 + 9 + 3) / 6,  # no tie: anti-diagonal 30 -> 17/3
+    ]
+    values = np.full((9, 9, len(lines)), 200.0)
+    for ch, line_values in enumerate(lines):
+        for i, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
+            values[4 + dr, 4 + dc, ch] = line_values[i // 4]
+    missing = np.zeros((9, 9), bool)
+    missing[4, 4] = True
+    new_values, filled = run_pass(values, missing)
+    assert filled[4, 4]
+    for ch, want in enumerate(expected):
+        assert new_values[4, 4, ch] == want
+        assert predict_pixel(gather_neighborhood(values, missing, (4, 4), ch)) == want
+
+
 def test_run_pass_accepts_2d_state():
     img = affine_image(9, 9)
     missing = np.zeros((9, 9), bool)
