@@ -10,10 +10,10 @@ which of its 16 line pixels are missing, a round after the first
 re-predicts only the holes whose stencil the round before changed; the
 rest are still unfillable. Pixels that never acquire a complete
 predictor line (deep hole interiors) are finished by the mean of the
-known pixels in a growing window of at most 21 x 21, read from one
-summed-area table that stacks the known-pixel count with the channel
-sums and stops where the residual holes' largest windows end. Every
-committed value is clamped to [0, 255].
+known pixels in a growing window of at most 21 x 21: the box means of a
+whole-image summed-area table, computed only at the table rows that
+the windows' corners read. Every committed value is clamped to
+[0, 255].
 
 Per missing pixel and channel, the predictions of the available slots
 of kernels.SLOTS are averaged: four directional line predictions and
@@ -197,50 +197,104 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
 
 def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> int:
     """Fill the residual holes at (``rows``, ``cols``), which are all the
-    pixels of ``missing``, with the mean of the known pixels in the
-    smallest centered odd window up to 21 x 21 that contains one (else 128).
+    pixels of ``missing`` in row-major order, with the mean of the known
+    pixels in the smallest centered odd window up to 21 x 21 that
+    contains one (else 128). Mutates ``values``.
 
-    Window counts and sums come from one summed-area table whose plane 0
-    sums the known-pixel indicator and whose planes 1..C sum the known
-    values. An entry depends only on the rows and columns before it, so
-    the table stops where the largest window of the lowest and of the
-    rightmost hole ends; each growing half-width looks only at the holes
-    no smaller window resolved. Mutates ``values``.
+    The means are those of a whole-image summed-area table, evaluated only
+    where a window corner reads it. A window grows past half-width h - 1
+    only when it holds nothing but holes, so the windows read table rows
+    and columns at most 1 before and 2 after a row or column that holds a
+    hole. Known-pixel counts are integers, exact in any order of addition:
+    an int32 table over just those rows picks each hole's window. The
+    channel sums keep the whole-image table's floating-point additions:
+    one running row of axis-0 prefix sums, stored at the rows where a
+    chosen window has its top or bottom edge, then summed along each
+    stored row.
     """
     if rows.size == 0:
         return 0
     height, width, channels = values.shape
     out = np.full((rows.size, channels), 128.0)
     if rows.size < height * width:  # some pixel is known
-        bottom = min(int(rows.max()) + _FALLBACK_REACH + 1, height)
-        right = min(int(cols.max()) + _FALLBACK_REACH + 1, width)
-        table = np.zeros((bottom + 1, right + 1, channels + 1))
-        body = table[1:, 1:]
-        body[..., 0] = ~missing[:bottom, :right]
-        np.multiply(values[:bottom, :right], body[..., :1], out=body[..., 1:])
-        # Axis-0 prefix sums row by row: the same sequential additions as
-        # cumsum(axis=0), without its strided walk down the columns.
-        for r in range(bottom):
-            np.add(table[r, 1:], body[r], out=body[r])
-        np.cumsum(body, axis=1, out=body)
-        flat = table.reshape(-1, channels + 1)
-        stride = right + 1
+        reach = _FALLBACK_REACH
+        right = min(int(cols.max()) + 2, width)
+        # Table row t is in the band when one of image rows t-2 .. t+1
+        # holds a hole; at[t] is its position in the band.
+        hole_row = np.zeros(height + 4, dtype=bool)
+        hole_row[rows + 2] = True
+        in_band = hole_row[:-3] | hole_row[1:-2] | hole_row[2:-1] | hole_row[3:]
+        band = np.flatnonzero(in_band)
+        at = np.cumsum(in_band) - 1
+        # Counts over the band, padded by `reach` on every side with what a
+        # clipped window corner would read, so each corner of a half-width
+        # sits at one offset from `corner`, the top left of a hole's
+        # largest window. int32 sums wrap modulo 2**32, which leaves a
+        # window's count exact.
+        span = right + 1 + 2 * reach
+        counts = np.zeros((band.size + 2 * reach, span), dtype=np.int32)
+        core = counts[reach + 1 : reach + band.size, reach + 1 : reach + 1 + right]
+        known = missing[band[:-1], :right]
+        np.logical_not(known, out=known)
+        np.cumsum(known, axis=1, dtype=np.int32, out=core)
+        np.cumsum(core, axis=0, out=core)
+        counts[reach + band.size :] = counts[reach + band.size - 1]
+        counts[:, reach + 1 + right :] = counts[:, reach + right, None]
+        flat = counts.ravel()
+        corner = at[rows] * span + cols
+        halves = np.zeros(rows.size, dtype=np.intp)
+        known_in = np.zeros(rows.size, dtype=np.int32)
         pending = np.arange(rows.size)
-        for half in range(1, _FALLBACK_REACH + 1):
-            r, c = rows[pending], cols[pending]
-            r0 = np.maximum(r - half, 0) * stride
-            r1 = np.minimum(r + half + 1, height) * stride
-            c0 = np.maximum(c - half, 0)
-            c1 = np.minimum(c + half + 1, width)
-            box = (
-                np.take(flat, r1 + c1, axis=0) - np.take(flat, r0 + c1, axis=0)
-                - np.take(flat, r1 + c0, axis=0) + np.take(flat, r0 + c0, axis=0)
+        for half in range(1, reach + 1):
+            top, bottom = (reach - half) * span, (reach + half + 1) * span
+            lo, hi = reach - half, reach + half + 1
+            count = (
+                flat[bottom + hi :][corner] - flat[top + hi :][corner]
+                - flat[bottom + lo :][corner] + flat[top + lo :][corner]
             )
-            hit = box[:, 0] > 0
-            out[pending[hit]] = box[hit, 1:] / box[hit, :1]
-            pending = pending[~hit]
+            halves[pending] = half
+            known_in[pending] = count
+            keep = count == 0
+            pending, corner = pending[keep], corner[keep]
             if pending.size == 0:
                 break
+        halves[pending] = 0  # no window up to the largest holds a known pixel
+        fill = np.flatnonzero(halves)
+        if fill.size:
+            r, c, half = rows[fill], cols[fill], halves[fill]
+            r0 = np.maximum(r - half, 0)
+            r1 = np.minimum(r + half + 1, height)
+            c0 = np.maximum(c - half, 0)
+            c1 = np.minimum(c + half + 1, width)
+            edge = np.zeros(height + 1, dtype=bool)
+            edge[r0] = edge[r1] = True
+            edges = np.flatnonzero(edge)
+            sums = np.zeros((edges.size, (right + 1) * channels))
+            body = sums[:, channels:]
+            # Table row t is row t-1 plus image row t-1, kept only at the
+            # edges. The holes add +0 where the whole-image table added
+            # values * 0.0, a +-0 that leaves a sum started from +0 as it is.
+            values[rows, cols] = 0.0
+            acc = np.zeros(right * channels)
+            dst = [acc] * int(edges[-1])
+            for k, t in enumerate(edges.tolist()):
+                if t:
+                    dst[t - 1] = body[k]
+            prev = acc
+            for image_row, row in zip(values.reshape(height, -1)[:, : right * channels], dst):
+                np.add(prev, image_row, row)
+                prev = row
+            body = body.reshape(edges.size, right, channels)
+            np.cumsum(body, axis=1, out=body)
+            cells = sums.reshape(-1, channels)
+            slot = np.cumsum(edge) - 1
+            r0 = slot[r0] * (right + 1)
+            r1 = slot[r1] * (right + 1)
+            box = (
+                np.take(cells, r1 + c1, axis=0) - np.take(cells, r0 + c1, axis=0)
+                - np.take(cells, r1 + c0, axis=0) + np.take(cells, r0 + c0, axis=0)
+            )
+            out[fill] = box / known_in[fill, None]
     values[rows, cols] = np.clip(out, 0.0, 255.0)
     return rows.size
 

@@ -170,11 +170,14 @@ def save_pnm(image: Image, path: str | os.PathLike) -> None:
         raise ValueError(
             f"samples outside [0, 255] (min {data.min():g}, max {data.max():g}); clamp before saving"
         )
-    # data + 0.5 lies in [0.5, 255.5], where the truncating cast is floor.
-    quantized = (data + 0.5).astype(np.uint8)
+    # data + 0.5 lies in [0.5, 255.5], where the truncating cast is floor;
+    # the sum is cast as it is made, without a float copy of the image.
+    quantized = np.empty(data.shape, dtype=np.uint8)
+    np.add(data, 0.5, out=quantized, casting="unsafe")
     magic = "P5" if image.channels == 1 else "P6"
-    header = f"{magic}\n{image.width} {image.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + quantized.tobytes())
+    with open(path, "wb") as f:
+        f.write(f"{magic}\n{image.width} {image.height}\n255\n".encode("ascii"))
+        f.write(quantized)
 
 
 def mask_from_pgm(path: str | os.PathLike) -> Mask:

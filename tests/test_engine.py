@@ -2,6 +2,8 @@
 the vectorized pass against it, pass scheduling, and whole-run
 invariants, with brute-force enumeration oracles for availability."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,14 +15,16 @@ from linemend import (
     Image,
     LineSpec,
     Mask,
+    apply_mask,
     generate_line_mask,
     inpaint,
     inpaint_report,
     run_pass,
 )
-from linemend.engine import _fallback_fill, _fill_round, _pad_missing
+from linemend.engine import _fallback_fill, _fill_round, _jacobi_rounds, _pad_missing
 from linemend.kernels import DIRECTION_VECTORS, NEIGHBOR_OFFSETS
 
+from conftest import natural_image
 from oracle import gather_neighborhood, predict_pixel, replace_most_deviant
 
 
@@ -634,6 +638,100 @@ def test_fallback_matches_oracle_out_of_reach(channels):
     missing[0, 0] = False
     _check_fallback(values, missing)
     _check_fallback(values, np.ones((40, 40), bool))
+
+
+@st.composite
+def sparse_hole_rows(draw):
+    """Holes in 1-3 rows of a tall grid, often the first or last row, and
+    mostly too far apart for one window to reach two of them."""
+    height = draw(st.integers(40, 160))
+    width = draw(st.integers(1, 24))
+    channels = draw(st.sampled_from([1, 3]))
+    row = st.sampled_from([0, height - 1]) | st.integers(0, height - 1)
+    hole_rows = draw(st.lists(row, min_size=1, max_size=3, unique=True))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    missing = np.zeros((height, width), bool)
+    for r in hole_rows:
+        missing[r] = rng.random(width) < draw(st.floats(0.2, 1.0))
+    values = rng.uniform(0.0, 255.0, (height, width, channels))
+    return values, missing
+
+
+def first_and_last_rows():
+    values = np.random.default_rng(24).uniform(0.0, 255.0, (60, 5, 3))
+    missing = np.zeros((60, 5), bool)
+    missing[[0, -1]] = True
+    return values, missing
+
+
+@settings(max_examples=120, deadline=None)
+@example(case=first_and_last_rows())
+@given(case=sparse_hole_rows())
+def test_fallback_matches_oracle_on_sparse_hole_rows(case):
+    _check_fallback(*case)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_fallback_ignores_residual_hole_contents(channels):
+    # A residual hole's stored value never reaches a window sum: holes
+    # holding 0, -0.0, a negative number or 1e300 give the same bytes.
+    rng = np.random.default_rng(22)
+    values = rng.uniform(0.0, 255.0, (48, 40, channels))
+    missing = rng.random((48, 40)) < 0.4
+    missing[20:30] = True
+    results = []
+    for stored in (0.0, -0.0, -7.5, 1e300):
+        got = values.copy()
+        got[missing] = stored
+        _fallback_fill(got, missing, *np.nonzero(missing))
+        results.append(got.tobytes())
+    assert results == [results[0]] * 4
+    want = values.copy()
+    fallback_oracle(want, missing)
+    assert results[0] == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def rgb1024():
+    return Image(np.concatenate([natural_image(1024, 1024, seed=s).data for s in (7, 8, 9)], axis=2))
+
+
+def _check_fallback_after_rounds(image, mask):
+    values = image.data.copy()
+    _, missing, _, _ = _jacobi_rounds(values, mask.degraded, EngineConfig().max_passes)
+    assert missing.any()
+    _check_fallback(values, missing)
+
+
+@pytest.mark.parametrize("pattern", [0, 6])
+def test_fallback_matches_oracle_on_benchmark_scratches(rgb1024, pattern):
+    # The scratches span the image, so the hole rows span most of the
+    # table, but few rows hold the edge of a chosen window.
+    mask = generate_line_mask(1024, 1024, LineSpec(count=8, width=2, seed=pattern))
+    _check_fallback_after_rounds(apply_mask(rgb1024, mask), mask)
+
+
+@pytest.mark.parametrize("width", [3, 15])
+def test_fallback_matches_oracle_on_wide_bands(width):
+    mask = generate_line_mask(512, 512, LineSpec(count=2, width=width, seed=0))
+    _check_fallback_after_rounds(apply_mask(natural_image(), mask), mask)
+
+
+def test_fallback_memory_follows_hole_rows():
+    # Holes in the last 3 rows of 1024x1024 RGB: a whole-image table would
+    # take 32 MiB, but the windows read only the rows next to the holes.
+    values = np.random.default_rng(23).uniform(0.0, 255.0, (1024, 1024, 3))
+    missing = np.zeros((1024, 1024), bool)
+    missing[-3:] = True
+    rows, cols = np.nonzero(missing)
+    tracemalloc.start()
+    try:
+        _fallback_fill(values, missing, rows, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_engine_config_validation():

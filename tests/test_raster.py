@@ -1,5 +1,7 @@
 """PNM codec and data-model tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,31 @@ def test_save_rounds_half_up(tmp_path):
     grid = Image(rng.uniform(0.0, 255.0, (12, 12)))
     save_pnm(grid, path)
     assert np.array_equal(load_pnm(path).data, np.floor(grid.data + 0.5))
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_save_bytes_are_floor_of_half_up(tmp_path, channels):
+    rng = np.random.default_rng(45 + channels)
+    data = rng.uniform(0.0, 255.0, (9, 11, channels))
+    data.flat[:4] = [0.49999999999999994, 0.5, 254.5, 255.0]
+    path = tmp_path / "q.pnm"
+    save_pnm(Image(data), path)
+    payload = path.read_bytes()[-data.size :]
+    assert payload == np.floor(data + 0.5).astype(np.uint8).tobytes()
+    assert payload[:4] == bytes([1, 1, 255, 255])
+
+
+def test_save_peak_memory_is_the_byte_image(tmp_path):
+    # 512x512 RGB is 6 MiB of float64 samples and 0.75 MiB of bytes: saving
+    # quantizes straight into the bytes, with no float copy of the image.
+    img = Image(np.random.default_rng(46).uniform(0.0, 255.0, (512, 512, 3)))
+    tracemalloc.start()
+    try:
+        save_pnm(img, tmp_path / "big.ppm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_save_rejects_out_of_range(tmp_path):
