@@ -68,6 +68,8 @@ class InpaintReport:
 
 # Half-width of the largest box-mean fallback window (21 x 21).
 _FALLBACK_REACH = 10
+# Bytes of summed-area rows the fallback makes per block, at least.
+_FALLBACK_BLOCK_BYTES = 1 << 19
 
 
 def _pad_missing(missing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,6 +197,61 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
     return fill_counts, padded[2:-2, 2:-2], rows - 2, cols - 2
 
 
+def _fallback_windows(missing: np.ndarray, rows: np.ndarray, cols: np.ndarray, right: int):
+    """Half-width of each hole's smallest window that holds a known
+    pixel (0 when none up to the largest does), and its known-pixel count.
+
+    A window grows past half-width h - 1 only when it holds nothing but
+    holes, so the windows read summed-area rows and columns at most 1
+    before and 2 after a row or column that holds a hole. Counts are
+    integers, exact in any order of addition: they come from a table over
+    just the band of rows next to the hole rows, ending at column
+    ``right``, and freed on return, before the fallback makes its sums.
+    """
+    height = missing.shape[0]
+    reach = _FALLBACK_REACH
+    # Table row t is in the band when one of image rows t-2 .. t+1
+    # holds a hole; at[t] is its position in the band.
+    hole_row = np.zeros(height + 4, dtype=bool)
+    hole_row[rows + 2] = True
+    in_band = hole_row[:-3] | hole_row[1:-2] | hole_row[2:-1] | hole_row[3:]
+    band = np.flatnonzero(in_band)
+    at = np.cumsum(in_band) - 1
+    # Counts over the band, padded by `reach` on every side with what a
+    # clipped window corner would read, so each corner of a half-width
+    # sits at one offset from `corner`, the top left of a hole's largest
+    # window. int32 sums wrap modulo 2**32, which leaves a window's count
+    # exact.
+    span = right + 1 + 2 * reach
+    counts = np.zeros((band.size + 2 * reach, span), dtype=np.int32)
+    core = counts[reach + 1 : reach + band.size, reach + 1 : reach + 1 + right]
+    np.logical_not(missing[band[:-1], :right], out=core)
+    np.cumsum(core, axis=1, out=core)
+    np.cumsum(core, axis=0, out=core)
+    counts[reach + band.size :] = counts[reach + band.size - 1]
+    counts[:, reach + 1 + right :] = counts[:, reach + right, None]
+    flat = counts.ravel()
+    corner = at[rows] * span + cols
+    halves = np.zeros(rows.size, dtype=np.intp)
+    known_in = np.zeros(rows.size, dtype=np.int32)
+    pending = np.arange(rows.size)
+    for half in range(1, reach + 1):
+        top, bottom = (reach - half) * span, (reach + half + 1) * span
+        lo, hi = reach - half, reach + half + 1
+        count = (
+            flat[bottom + hi :][corner] - flat[top + hi :][corner]
+            - flat[bottom + lo :][corner] + flat[top + lo :][corner]
+        )
+        halves[pending] = half
+        known_in[pending] = count
+        keep = count == 0
+        pending, corner = pending[keep], corner[keep]
+        if pending.size == 0:
+            break
+    halves[pending] = 0  # no window up to the largest holds a known pixel
+    return halves, known_in
+
+
 def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> int:
     """Fill the residual holes at (``rows``, ``cols``), which are all the
     pixels of ``missing`` in row-major order, with the mean of the known
@@ -202,63 +259,22 @@ def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, co
     contains one (else 128). Mutates ``values``.
 
     The means are those of a whole-image summed-area table, evaluated only
-    where a window corner reads it. A window grows past half-width h - 1
-    only when it holds nothing but holes, so the windows read table rows
-    and columns at most 1 before and 2 after a row or column that holds a
-    hole. Known-pixel counts are integers, exact in any order of addition:
-    an int32 table over just those rows picks each hole's window. The
-    channel sums keep the whole-image table's floating-point additions:
-    one running row of axis-0 prefix sums, stored at the rows where a
-    chosen window has its top or bottom edge, then summed along each
-    stored row.
+    where a window corner reads it; _fallback_windows picks each hole's
+    window. The channel sums keep the whole-image table's floating-point
+    additions: one running row of axis-0 prefix sums, stored at the rows
+    where a chosen window has its top or bottom edge and then summed
+    along the row. Those rows are made in blocks of about
+    _FALLBACK_BLOCK_BYTES and held two blocks at a time, so the memory
+    they take grows with neither the image height nor the number of rows
+    that hold holes.
     """
     if rows.size == 0:
         return 0
     height, width, channels = values.shape
     out = np.full((rows.size, channels), 128.0)
     if rows.size < height * width:  # some pixel is known
-        reach = _FALLBACK_REACH
         right = min(int(cols.max()) + 2, width)
-        # Table row t is in the band when one of image rows t-2 .. t+1
-        # holds a hole; at[t] is its position in the band.
-        hole_row = np.zeros(height + 4, dtype=bool)
-        hole_row[rows + 2] = True
-        in_band = hole_row[:-3] | hole_row[1:-2] | hole_row[2:-1] | hole_row[3:]
-        band = np.flatnonzero(in_band)
-        at = np.cumsum(in_band) - 1
-        # Counts over the band, padded by `reach` on every side with what a
-        # clipped window corner would read, so each corner of a half-width
-        # sits at one offset from `corner`, the top left of a hole's
-        # largest window. int32 sums wrap modulo 2**32, which leaves a
-        # window's count exact.
-        span = right + 1 + 2 * reach
-        counts = np.zeros((band.size + 2 * reach, span), dtype=np.int32)
-        core = counts[reach + 1 : reach + band.size, reach + 1 : reach + 1 + right]
-        known = missing[band[:-1], :right]
-        np.logical_not(known, out=known)
-        np.cumsum(known, axis=1, dtype=np.int32, out=core)
-        np.cumsum(core, axis=0, out=core)
-        counts[reach + band.size :] = counts[reach + band.size - 1]
-        counts[:, reach + 1 + right :] = counts[:, reach + right, None]
-        flat = counts.ravel()
-        corner = at[rows] * span + cols
-        halves = np.zeros(rows.size, dtype=np.intp)
-        known_in = np.zeros(rows.size, dtype=np.int32)
-        pending = np.arange(rows.size)
-        for half in range(1, reach + 1):
-            top, bottom = (reach - half) * span, (reach + half + 1) * span
-            lo, hi = reach - half, reach + half + 1
-            count = (
-                flat[bottom + hi :][corner] - flat[top + hi :][corner]
-                - flat[bottom + lo :][corner] + flat[top + lo :][corner]
-            )
-            halves[pending] = half
-            known_in[pending] = count
-            keep = count == 0
-            pending, corner = pending[keep], corner[keep]
-            if pending.size == 0:
-                break
-        halves[pending] = 0  # no window up to the largest holds a known pixel
+        halves, known_in = _fallback_windows(missing, rows, cols, right)
         fill = np.flatnonzero(halves)
         if fill.size:
             r, c, half = rows[fill], cols[fill], halves[fill]
@@ -269,32 +285,58 @@ def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, co
             edge = np.zeros(height + 1, dtype=bool)
             edge[r0] = edge[r1] = True
             edges = np.flatnonzero(edge)
-            sums = np.zeros((edges.size, (right + 1) * channels))
+            slot = np.cumsum(edge) - 1
+            # The edge rows are made a block at a time into a ring of two
+            # blocks. A window spans at most 2 * reach + 1 edge rows, so
+            # its top edge is still held when its bottom edge's block is
+            # made, and its box is read then. A block is at least as large
+            # as the four corner values of every hole, so the pass over the
+            # holes that picks a block's own costs less than making it.
+            stride = right + 1
+            block = max(_FALLBACK_BLOCK_BYTES, fill.size * channels * 32) // (stride * channels * 8)
+            block = min(max(block, 2 * _FALLBACK_REACH + 1), edges.size)
+            ring = 2 * block
+            blocks = -(-edges.size // block)
+            sums = np.zeros((min(ring, edges.size), stride * channels))
             body = sums[:, channels:]
-            # Table row t is row t-1 plus image row t-1, kept only at the
-            # edges. The holes add +0 where the whole-image table added
+            cells = sums.reshape(-1, channels)
+            bottom = slot[r1]
+            bottom_block = bottom // block if blocks > 1 else None
+            # Where the top and bottom edge rows of each window sit in the ring.
+            top_at = slot[r0] % ring * stride
+            bottom_at = bottom % ring * stride
+            # The holes add +0 where the whole-image table added
             # values * 0.0, a +-0 that leaves a sum started from +0 as it is.
             values[rows, cols] = 0.0
-            acc = np.zeros(right * channels)
-            dst = [acc] * int(edges[-1])
-            for k, t in enumerate(edges.tolist()):
-                if t:
-                    dst[t - 1] = body[k]
-            prev = acc
-            for image_row, row in zip(values.reshape(height, -1)[:, : right * channels], dst):
-                np.add(prev, image_row, row)
-                prev = row
-            body = body.reshape(edges.size, right, channels)
-            np.cumsum(body, axis=1, out=body)
-            cells = sums.reshape(-1, channels)
-            slot = np.cumsum(edge) - 1
-            r0 = slot[r0] * (right + 1)
-            r1 = slot[r1] * (right + 1)
-            box = (
-                np.take(cells, r1 + c1, axis=0) - np.take(cells, r0 + c1, axis=0)
-                - np.take(cells, r1 + c0, axis=0) + np.take(cells, r0 + c0, axis=0)
-            )
-            out[fill] = box / known_in[fill, None]
+            image_rows = values.reshape(height, -1)[:, : right * channels]
+            acc = np.zeros(right * channels)  # table row t, without its column 0
+            t = 0
+            for j in range(blocks):
+                stored = edges[j * block : (j + 1) * block].tolist()
+                held = body[j * block % ring :][: len(stored)]
+                # Table row t is row t-1 plus image row t-1, kept in the
+                # block at its edges and in acc between them.
+                dst = [acc] * (stored[-1] - t)
+                for k, edge_row in enumerate(stored):
+                    if edge_row == t:
+                        held[k] = acc
+                    else:
+                        dst[edge_row - 1 - t] = held[k]
+                prev = acc
+                for image_row, row in zip(image_rows[t : stored[-1]], dst):
+                    np.add(prev, image_row, row)
+                    prev = row
+                acc[:] = prev
+                t = stored[-1]
+                held = held.reshape(len(stored), right, channels)
+                np.cumsum(held, axis=1, out=held)
+                here = slice(None) if bottom_block is None else np.flatnonzero(bottom_block == j)
+                up, down, lo, hi = top_at[here], bottom_at[here], c0[here], c1[here]
+                box = (
+                    np.take(cells, down + hi, axis=0) - np.take(cells, up + hi, axis=0)
+                    - np.take(cells, down + lo, axis=0) + np.take(cells, up + lo, axis=0)
+                )
+                out[fill[here]] = box / known_in[fill[here], None]
     values[rows, cols] = np.clip(out, 0.0, 255.0)
     return rows.size
 

@@ -66,6 +66,9 @@ _TILE_H = 16
 _TILE_W = 22
 _PATCH_H = _TILE_H + _WINDOW - 1
 _PATCH_W = _TILE_W + _WINDOW - 1
+# Dirty tiles scored at once. Their temporaries take about 40 kB a tile,
+# so batches keep the pass's memory from growing with the mask.
+_TILE_BATCH = 64
 
 
 def _windowed_mean(plane: np.ndarray) -> np.ndarray:
@@ -109,15 +112,35 @@ def _dirty_tiles(differs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(tiles)
 
 
+def _score_tiles(
+    grid: np.ndarray, ref: np.ndarray, tst: np.ndarray, tile_r: np.ndarray, tile_c: np.ndarray
+) -> None:
+    """Write the SSIM of every valid window of the given tiles into
+    ``grid``; the temporaries are freed on return."""
+    height, width = ref.shape[:2]
+    grid_h, grid_w = grid.shape
+    # Indices past the image edge are clamped; they reach only windows
+    # past the valid grid, which are dropped below.
+    pr = np.minimum(_TILE_H * tile_r[:, None] + np.arange(_PATCH_H), height - 1)
+    pc = np.minimum(_TILE_W * tile_c[:, None] + np.arange(_PATCH_W), width - 1)
+    at = (pr[:, :, None], pc[:, None, :])
+    scores = _ssim_map(_luminance(ref[at]), _luminance(tst[at]))
+    wr = _TILE_H * tile_r[:, None, None] + np.arange(_TILE_H)[:, None]
+    wc = _TILE_W * tile_c[:, None, None] + np.arange(_TILE_W)
+    keep = (wr < grid_h) & (wc < grid_w)
+    grid.reshape(-1)[(wr * grid_w + wc)[keep]] = scores[keep]
+
+
 def ssim(reference: Image, test: Image) -> float:
     """Mean structural similarity over all valid 11x11 window positions.
 
     A window whose pixels agree in both images scores exactly 1.0, since
     the numerator and denominator of its score are then the same float
     expression. Only the tiles of windows that touch a differing pixel
-    are therefore evaluated, and every other window enters the mean as
-    1.0; when the dirty tiles' patches would hold more pixels than the
-    image, the whole image is scored in one piece instead.
+    are therefore evaluated, _TILE_BATCH tiles at a time, and every other
+    window enters the mean as 1.0; when the dirty tiles' patches would
+    hold more pixels than the image, the whole image is scored in one
+    piece instead.
     """
     _require_comparable(reference, test)
     height, width = reference.height, reference.width
@@ -129,17 +152,8 @@ def ssim(reference: Image, test: Image) -> float:
     tile_r, tile_c = _dirty_tiles((ref != tst).any(axis=2))
     if tile_r.size * _PATCH_H * _PATCH_W > height * width:
         return float(_ssim_map(_luminance(ref), _luminance(tst)).mean())
-    # Indices past the image edge are clamped; they reach only windows
-    # past the valid grid, which are dropped below.
-    pr = np.minimum(_TILE_H * tile_r[:, None] + np.arange(_PATCH_H), height - 1)
-    pc = np.minimum(_TILE_W * tile_c[:, None] + np.arange(_PATCH_W), width - 1)
-    at = (pr[:, :, None], pc[:, None, :])
-    scores = _ssim_map(_luminance(ref[at]), _luminance(tst[at]))
-    grid_h, grid_w = height - _WINDOW + 1, width - _WINDOW + 1
-    wr = _TILE_H * tile_r[:, None, None] + np.arange(_TILE_H)[:, None]
-    wc = _TILE_W * tile_c[:, None, None] + np.arange(_TILE_W)
-    keep = (wr < grid_h) & (wc < grid_w)
-    grid = np.ones((grid_h, grid_w))
-    grid.reshape(-1)[(wr * grid_w + wc)[keep]] = scores[keep]
+    grid = np.ones((height - _WINDOW + 1, width - _WINDOW + 1))
+    for first in range(0, tile_r.size, _TILE_BATCH):
+        _score_tiles(grid, ref, tst, tile_r[first : first + _TILE_BATCH], tile_c[first : first + _TILE_BATCH])
     return float(grid.mean())
 

@@ -3,6 +3,7 @@ the vectorized pass against it, pass scheduling, and whole-run
 invariants, with brute-force enumeration oracles for availability."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from linemend import (
     inpaint_report,
     run_pass,
 )
+from linemend import engine
 from linemend.engine import _fallback_fill, _fill_round, _jacobi_rounds, _pad_missing
 from linemend.kernels import DIRECTION_VECTORS, NEIGHBOR_OFFSETS
 
@@ -672,6 +674,54 @@ def test_fallback_matches_oracle_on_sparse_hole_rows(case):
     _check_fallback(*case)
 
 
+@st.composite
+def tall_sparse_holes(draw):
+    """Few holes over the rows of a tall grid, sometimes with a narrow
+    vertical band whose windows span several rows, so that with the
+    smallest blocks the fallback makes its edge rows in several blocks
+    and windows straddle the seams between them."""
+    height = draw(st.integers(44, 200))
+    width = draw(st.integers(8, 48))
+    channels = draw(st.sampled_from([1, 3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    missing = rng.random((height, width)) < draw(st.floats(0.003, 0.05))
+    if draw(st.booleans()):
+        top = draw(st.integers(0, height - 1))
+        left = draw(st.integers(0, width - 1))
+        missing[top : top + draw(st.integers(1, height)), left : left + draw(st.integers(1, 7))] = True
+    values = rng.uniform(0.0, 255.0, (height, width, channels))
+    return values, missing
+
+
+def band_across_blocks():
+    values = np.random.default_rng(26).uniform(0.0, 255.0, (200, 40, 3))
+    missing = np.zeros((200, 40), bool)
+    missing[30:171, 10:15] = True
+    missing[::9, 33] = True
+    return values, missing
+
+
+def widest_window_across_blocks():
+    # Every row holds a window edge, so edge rows are image rows, and the
+    # 21-row window of hole (29, 30) ends at row 40: with blocks of 21 its
+    # top and bottom edge rows lie in consecutive blocks.
+    values = np.random.default_rng(27).uniform(0.0, 255.0, (80, 100, 3))
+    missing = np.zeros((80, 100), bool)
+    missing[20:39, 21:40] = True
+    missing[:, 90] = True
+    return values, missing
+
+
+@settings(max_examples=120, deadline=None)
+@example(case=band_across_blocks())
+@example(case=widest_window_across_blocks())
+@given(case=tall_sparse_holes())
+def test_fallback_matches_oracle_across_blocks(case):
+    with mock.patch.object(engine, "_FALLBACK_BLOCK_BYTES", 0):
+        _check_fallback(*case)
+
+
 @pytest.mark.parametrize("channels", [1, 3])
 def test_fallback_ignores_residual_hole_contents(channels):
     # A residual hole's stored value never reaches a window sum: holes
@@ -734,6 +784,26 @@ def test_fallback_memory_follows_hole_rows():
     assert peak < 4e6
 
 
+def test_fallback_holds_sum_rows_in_blocks():
+    # One hole in every 16th row of 1024x1024 RGB: 128 rows hold a window
+    # edge, 3 MiB of summed-area rows if they were all held at once.
+    rng = np.random.default_rng(25)
+    values = rng.uniform(0.0, 255.0, (1024, 1024, 3))
+    missing = np.zeros((1024, 1024), bool)
+    missing[np.arange(8, 1024, 16), rng.integers(0, 1024, 64)] = True
+    want = values.copy()
+    fallback_oracle(want, missing)
+    rows, cols = np.nonzero(missing)
+    tracemalloc.start()
+    try:
+        _fallback_fill(values, missing, rows, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+    assert values.tobytes() == want.tobytes()
+
+
 def test_engine_config_validation():
     # The pass cap is a count: a float such as 1.5 or 2.0 is rejected,
     # not rounded up by the pass loop's comparison.
@@ -742,3 +812,4 @@ def test_engine_config_validation():
             EngineConfig(max_passes=bad)
     image, mask = creeping_band()
     assert inpaint_report(image, mask, EngineConfig(max_passes=np.int64(3))).passes == 3
+

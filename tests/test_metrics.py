@@ -1,6 +1,8 @@
 """PSNR/SSIM fixtures and properties against closed-form oracles."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from linemend import (
     psnr,
     ssim,
 )
+from linemend import metrics
 
 
 def ssim_oracle(reference, test):
@@ -188,3 +191,28 @@ def test_ssim_width_sweep_cells_equal_oracle(natural512):
             mask = generate_line_mask(512, 512, LineSpec(count=2, width=width, seed=seed))
             restored = inpaint(apply_mask(natural512, mask), mask)
             assert ssim(natural512, restored) == ssim_oracle(natural512, restored), (width, seed)
+
+
+def test_ssim_tile_batches_agree(natural512):
+    mask = generate_line_mask(512, 512, LineSpec(count=2, width=9, seed=3))
+    restored = inpaint(apply_mask(natural512, mask), mask)
+    want = ssim(natural512, restored)
+    for batch in (1, 7):
+        with mock.patch.object(metrics, "_TILE_BATCH", batch):
+            assert ssim(natural512, restored) == want, batch
+
+
+def test_ssim_memory_does_not_follow_dirty_tiles(natural512):
+    # 150 and 237 dirty tiles, scored in batches: both calls peak alike,
+    # where scoring all tiles at once took about 40 kB more per tile.
+    peaks = []
+    for count in (4, 6):
+        mask = generate_line_mask(512, 512, LineSpec(count=count, width=1, seed=4))
+        changed = Image(natural512.data + mask.degraded[:, :, None])
+        tracemalloc.start()
+        try:
+            ssim(natural512, changed)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 1e5
