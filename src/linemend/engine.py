@@ -11,9 +11,9 @@ re-predicts only the holes whose stencil the round before changed; the
 rest are still unfillable. Pixels that never acquire a complete
 predictor line (deep hole interiors) are finished by the mean of the
 known pixels in a growing window of at most 21 x 21: the box means of a
-whole-image summed-area table, computed only at the table rows that
-the windows' corners read. Every committed value is clamped to
-[0, 255].
+whole-image summed-area table, made only at the rows next to a hole
+row and a bounded block of those rows at a time. Every committed value
+is clamped to [0, 255].
 
 Per missing pixel and channel, the predictions of the available slots
 of kernels.SLOTS are averaged: four directional line predictions and
@@ -68,7 +68,8 @@ class InpaintReport:
 
 # Half-width of the largest box-mean fallback window (21 x 21).
 _FALLBACK_REACH = 10
-# Bytes of summed-area rows the fallback makes per block, at least.
+# Bytes of summed-area rows in one block of the fallback's walk down the
+# rows next to the holes; a block also holds at least 2 * reach + 1 rows.
 _FALLBACK_BLOCK_BYTES = 1 << 19
 
 
@@ -197,147 +198,122 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
     return fill_counts, padded[2:-2, 2:-2], rows - 2, cols - 2
 
 
-def _fallback_windows(missing: np.ndarray, rows: np.ndarray, cols: np.ndarray, right: int):
-    """Half-width of each hole's smallest window that holds a known
-    pixel (0 when none up to the largest does), and its known-pixel count.
-
-    A window grows past half-width h - 1 only when it holds nothing but
-    holes, so the windows read summed-area rows and columns at most 1
-    before and 2 after a row or column that holds a hole. Counts are
-    integers, exact in any order of addition: they come from a table over
-    just the band of rows next to the hole rows, ending at column
-    ``right``, and freed on return, before the fallback makes its sums.
-    """
-    height = missing.shape[0]
-    reach = _FALLBACK_REACH
-    # Table row t is in the band when one of image rows t-2 .. t+1
-    # holds a hole; at[t] is its position in the band.
-    hole_row = np.zeros(height + 4, dtype=bool)
-    hole_row[rows + 2] = True
-    in_band = hole_row[:-3] | hole_row[1:-2] | hole_row[2:-1] | hole_row[3:]
-    band = np.flatnonzero(in_band)
-    at = np.cumsum(in_band) - 1
-    # Counts over the band, padded by `reach` on every side with what a
-    # clipped window corner would read, so each corner of a half-width
-    # sits at one offset from `corner`, the top left of a hole's largest
-    # window. int32 sums wrap modulo 2**32, which leaves a window's count
-    # exact.
-    span = right + 1 + 2 * reach
-    counts = np.zeros((band.size + 2 * reach, span), dtype=np.int32)
-    core = counts[reach + 1 : reach + band.size, reach + 1 : reach + 1 + right]
-    np.logical_not(missing[band[:-1], :right], out=core)
-    np.cumsum(core, axis=1, out=core)
-    np.cumsum(core, axis=0, out=core)
-    counts[reach + band.size :] = counts[reach + band.size - 1]
-    counts[:, reach + 1 + right :] = counts[:, reach + right, None]
-    flat = counts.ravel()
-    corner = at[rows] * span + cols
-    halves = np.zeros(rows.size, dtype=np.intp)
-    known_in = np.zeros(rows.size, dtype=np.int32)
-    pending = np.arange(rows.size)
-    for half in range(1, reach + 1):
-        top, bottom = (reach - half) * span, (reach + half + 1) * span
-        lo, hi = reach - half, reach + half + 1
-        count = (
-            flat[bottom + hi :][corner] - flat[top + hi :][corner]
-            - flat[bottom + lo :][corner] + flat[top + lo :][corner]
-        )
-        halves[pending] = half
-        known_in[pending] = count
-        keep = count == 0
-        pending, corner = pending[keep], corner[keep]
-        if pending.size == 0:
-            break
-    halves[pending] = 0  # no window up to the largest holds a known pixel
-    return halves, known_in
-
-
 def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> int:
     """Fill the residual holes at (``rows``, ``cols``), which are all the
     pixels of ``missing`` in row-major order, with the mean of the known
     pixels in the smallest centered odd window up to 21 x 21 that
     contains one (else 128). Mutates ``values``.
 
-    The means are those of a whole-image summed-area table, evaluated only
-    where a window corner reads it; _fallback_windows picks each hole's
-    window. The channel sums keep the whole-image table's floating-point
-    additions: one running row of axis-0 prefix sums, stored at the rows
-    where a chosen window has its top or bottom edge and then summed
-    along the row. Those rows are made in blocks of about
-    _FALLBACK_BLOCK_BYTES and held two blocks at a time, so the memory
-    they take grows with neither the image height nor the number of rows
-    that hold holes.
+    The means are those of a whole-image summed-area table, made only at
+    the band of table rows next to a hole row. A window grows past
+    half-width h - 1 only when it holds nothing but holes, so the rows it
+    reads at h are consecutive band rows, and its columns end at most 2
+    past the last hole column. One walk down the band makes its rows in
+    blocks of about _FALLBACK_BLOCK_BYTES, so their memory grows with
+    neither the image height nor the number of hole rows. Each row holds
+    the channel sums, which keep the whole-image table's floating-point
+    additions (one running row of prefix sums down the image, summed
+    along the row), and the integer known-pixel counts. In the block that
+    holds the bottom edge of a hole's largest window, the counts pick the
+    hole's window and its box is read.
     """
     if rows.size == 0:
         return 0
     height, width, channels = values.shape
+    if rows.size == height * width:  # no known pixel
+        values.fill(128.0)
+        return rows.size
+    reach = _FALLBACK_REACH
+    carry = 2 * reach + 1
+    right = min(int(cols.max()) + 2, width)
+    # Table row t is in the band when one of image rows t-2 .. t+1
+    # holds a hole; slot[t] is its position in the band.
+    hole_row = np.zeros(height + 4, dtype=bool)
+    hole_row[rows + 2] = True
+    in_band = hole_row[:-3] | hole_row[1:-2] | hole_row[2:-1] | hole_row[3:]
+    band = np.flatnonzero(in_band)
+    slot = np.cumsum(in_band) - 1
+    # The band positions of the top and bottom edges of each hole's
+    # largest window; the bottom ones never decrease in row-major order.
+    top_slot = slot[rows] - reach
+    bottom_slot = slot[np.minimum(rows + reach + 1, height)]
+    # The buffer holds a block of band rows, the `carry` rows before it
+    # and `reach` rows after it, each padded by `reach` columns with what
+    # a clipped window corner would read: zeros on the left, copies of
+    # table column `right` on the right. Each corner of a half-width then
+    # sits at one flat offset from a hole's `corner`, the top left of its
+    # largest window. A block holds at least as many rows as it carries.
+    # int32 counts wrap modulo 2**32, which leaves a window's count exact.
+    span = right + 1 + 2 * reach
+    block = min(max(_FALLBACK_BLOCK_BYTES // (span * channels * 8), carry), band.size)
+    sums = np.zeros((carry + block + reach, span, channels))
+    counts = np.zeros((carry + block + reach, span), dtype=np.int32)
+    cells, count_at = sums.reshape(-1, channels), counts.ravel()
     out = np.full((rows.size, channels), 128.0)
-    if rows.size < height * width:  # some pixel is known
-        right = min(int(cols.max()) + 2, width)
-        halves, known_in = _fallback_windows(missing, rows, cols, right)
-        fill = np.flatnonzero(halves)
-        if fill.size:
-            r, c, half = rows[fill], cols[fill], halves[fill]
-            r0 = np.maximum(r - half, 0)
-            r1 = np.minimum(r + half + 1, height)
-            c0 = np.maximum(c - half, 0)
-            c1 = np.minimum(c + half + 1, width)
-            edge = np.zeros(height + 1, dtype=bool)
-            edge[r0] = edge[r1] = True
-            edges = np.flatnonzero(edge)
-            slot = np.cumsum(edge) - 1
-            # The edge rows are made a block at a time into a ring of two
-            # blocks. A window spans at most 2 * reach + 1 edge rows, so
-            # its top edge is still held when its bottom edge's block is
-            # made, and its box is read then. A block is at least as large
-            # as the four corner values of every hole, so the pass over the
-            # holes that picks a block's own costs less than making it.
-            stride = right + 1
-            block = max(_FALLBACK_BLOCK_BYTES, fill.size * channels * 32) // (stride * channels * 8)
-            block = min(max(block, 2 * _FALLBACK_REACH + 1), edges.size)
-            ring = 2 * block
-            blocks = -(-edges.size // block)
-            sums = np.zeros((min(ring, edges.size), stride * channels))
-            body = sums[:, channels:]
-            cells = sums.reshape(-1, channels)
-            bottom = slot[r1]
-            bottom_block = bottom // block if blocks > 1 else None
-            # Where the top and bottom edge rows of each window sit in the ring.
-            top_at = slot[r0] % ring * stride
-            bottom_at = bottom % ring * stride
-            # The holes add +0 where the whole-image table added
-            # values * 0.0, a +-0 that leaves a sum started from +0 as it is.
-            values[rows, cols] = 0.0
-            image_rows = values.reshape(height, -1)[:, : right * channels]
-            acc = np.zeros(right * channels)  # table row t, without its column 0
-            t = 0
-            for j in range(blocks):
-                stored = edges[j * block : (j + 1) * block].tolist()
-                held = body[j * block % ring :][: len(stored)]
-                # Table row t is row t-1 plus image row t-1, kept in the
-                # block at its edges and in acc between them.
-                dst = [acc] * (stored[-1] - t)
-                for k, edge_row in enumerate(stored):
-                    if edge_row == t:
-                        held[k] = acc
-                    else:
-                        dst[edge_row - 1 - t] = held[k]
-                prev = acc
-                for image_row, row in zip(image_rows[t : stored[-1]], dst):
-                    np.add(prev, image_row, row)
-                    prev = row
-                acc[:] = prev
-                t = stored[-1]
-                held = held.reshape(len(stored), right, channels)
-                np.cumsum(held, axis=1, out=held)
-                here = slice(None) if bottom_block is None else np.flatnonzero(bottom_block == j)
-                up, down, lo, hi = top_at[here], bottom_at[here], c0[here], c1[here]
-                box = (
-                    np.take(cells, down + hi, axis=0) - np.take(cells, up + hi, axis=0)
-                    - np.take(cells, down + lo, axis=0) + np.take(cells, up + lo, axis=0)
-                )
-                out[fill[here]] = box / known_in[fill[here], None]
-    values[rows, cols] = np.clip(out, 0.0, 255.0)
+    flat = values.reshape(-1, channels)
+    at = rows * width + cols
+    # The holes add +0 where the whole-image table added
+    # values * 0.0, a +-0 that leaves a sum started from +0 as it is.
+    flat[at] = 0.0
+    acc = np.zeros((right, channels))  # table row t, without its column 0
+    t = 0
+    for start in range(0, band.size, block):
+        stored = band[start : start + block]
+        n = stored.size
+        if start:
+            for table in sums, counts:
+                table[:carry] = table[block : block + carry]
+        sum_rows = sums[carry : carry + n, reach + 1 : reach + 1 + right]
+        count_rows = counts[carry - 1 : carry + n, reach + 1 : reach + 1 + right]
+        # Counts are exact in any order of addition: each band row adds
+        # the known pixels of the image row above it to the band row before.
+        known = count_rows[1:]
+        np.logical_not(missing[stored - 1, :right], out=known)
+        known[stored == 0] = 0
+        np.cumsum(known, axis=1, out=known)
+        # Table row t + 1 is row t plus image row t, kept in the block at
+        # band rows and in acc between them.
+        dst = [acc] * (stored[-1] - t)
+        count_list = list(count_rows)
+        for band_row, sum_row, before, count_row in zip(stored.tolist(), sum_rows, count_list, count_list[1:]):
+            np.add(before, count_row, count_row)
+            if band_row > t:
+                dst[band_row - 1 - t] = sum_row
+        prev = acc
+        for image_row, row in zip(values[t : stored[-1], :right], dst):
+            np.add(prev, image_row, row)
+            prev = row
+        acc[:] = prev
+        t = stored[-1]
+        np.cumsum(sum_rows, axis=1, out=sum_rows)
+        for table in sums, counts:
+            table[carry : carry + n, reach + 1 + right :] = table[carry : carry + n, reach + right, None]
+            if start + n == band.size:  # windows clipped at the last row read it
+                table[carry + n :] = table[carry + n - 1]
+        # This block's holes: find each one's smallest window with a known
+        # pixel, and read that window's box once.
+        lo, hi = np.searchsorted(bottom_slot, [start, start + block])
+        pending = np.arange(lo, hi)
+        corner = (top_slot[lo:hi] - (start - carry)) * span + cols[lo:hi]
+        for half in range(1, reach + 1):
+            if pending.size == 0:
+                break
+            top, bottom = (reach - half) * span, (reach + half + 1) * span
+            left, end = reach - half, reach + half + 1
+            count = (
+                count_at[bottom + end :][corner] - count_at[top + end :][corner]
+                - count_at[bottom + left :][corner] + count_at[top + left :][corner]
+            )
+            found = count != 0
+            hit = corner[found]
+            box = (
+                np.take(cells[bottom + end :], hit, axis=0) - np.take(cells[top + end :], hit, axis=0)
+                - np.take(cells[bottom + left :], hit, axis=0) + np.take(cells[top + left :], hit, axis=0)
+            )
+            out[pending[found]] = box / count[found, None]
+            pending, corner = pending[~found], corner[~found]
+    np.clip(out, 0.0, 255.0, out=out)
+    flat[at] = out
     return rows.size
 
 

@@ -713,9 +713,33 @@ def widest_window_across_blocks():
     return values, missing
 
 
+def widest_window_opens_a_block():
+    # Every table row is next to a hole row, so with blocks of 21 rows
+    # row 42 opens the third block: it is the bottom edge of the 21-row
+    # window of hole (31, 30), whose box is read in that block.
+    values = np.random.default_rng(32).uniform(0.0, 255.0, (80, 100, 3))
+    missing = np.zeros((80, 100), bool)
+    missing[22:41, 21:40] = True
+    missing[:, 90] = True
+    return values, missing
+
+
+def clipped_windows_across_blocks():
+    # Deep holes at the top and bottom rows: their windows clip at row 0
+    # in the first block and at the last row in the last block.
+    values = np.random.default_rng(28).uniform(0.0, 255.0, (90, 40, 3))
+    missing = np.zeros((90, 40), bool)
+    missing[:14, 4:26] = True
+    missing[-14:, 12:34] = True
+    missing[::7, 37] = True
+    return values, missing
+
+
 @settings(max_examples=120, deadline=None)
 @example(case=band_across_blocks())
 @example(case=widest_window_across_blocks())
+@example(case=widest_window_opens_a_block())
+@example(case=clipped_windows_across_blocks())
 @given(case=tall_sparse_holes())
 def test_fallback_matches_oracle_across_blocks(case):
     with mock.patch.object(engine, "_FALLBACK_BLOCK_BYTES", 0):
@@ -802,6 +826,40 @@ def test_fallback_holds_sum_rows_in_blocks():
         tracemalloc.stop()
     assert peak < 2.5e6
     assert values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_fallback_count_rows_are_bounded(channels):
+    # One hole in every 4th row of 1024x1024: nearly every table row is
+    # next to a hole row, so counts over all of them would take 4 MiB.
+    rng = np.random.default_rng(29)
+    values = rng.uniform(0.0, 255.0, (1024, 1024, channels))
+    missing = np.zeros((1024, 1024), bool)
+    missing[np.arange(0, 1024, 4), rng.integers(0, 1024, 256)] = True
+    rows, cols = np.nonzero(missing)
+    tracemalloc.start()
+    try:
+        _fallback_fill(values, missing, rows, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+
+
+def test_fallback_without_known_pixels_writes_in_place():
+    # Every pixel is a hole, so every one becomes 128 with no per-hole arrays.
+    values = np.random.default_rng(30).uniform(0.0, 255.0, (512, 512, 3))
+    missing = np.ones((512, 512), bool)
+    rows, cols = np.nonzero(missing)
+    tracemalloc.start()
+    try:
+        filled = _fallback_fill(values, missing, rows, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert filled == 512 * 512
+    assert (values == 128.0).all()
 
 
 def test_engine_config_validation():
