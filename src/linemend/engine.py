@@ -92,18 +92,20 @@ def _fill_round(values: np.ndarray, missing_at: np.ndarray, holes: np.ndarray) -
     padded grid whose flattened missing set is ``missing_at``.
 
     ``values`` is the C-contiguous (height, width, channels) state. Each
-    slot is gathered and predicted only at the holes where it is
-    available, so every tap read is a known pixel. Every gather is made
-    before the fillable holes are committed into ``values`` in place,
-    clamped to [0, 255]. ``missing_at`` is not modified. Returns the
-    boolean fillable set over ``holes``.
+    line's four missing flags are read at every hole with one (4, holes)
+    gather. Each slot is gathered and predicted only at the holes where
+    it is available, so every tap read is a known pixel; a tap is one
+    ``np.take`` of whole pixels along a 1-D index. The outlier step
+    rewrites the most deviant line prediction with one ``np.where`` over
+    all four. Every gather is made before the fillable holes are
+    committed into ``values`` in place, clamped to [0, 255].
+    ``missing_at`` is not modified. Returns the boolean fillable set
+    over ``holes``.
     """
     _, width, channels = values.shape
     stride = width + 4
-    gaps = [
-        np.logical_or.reduce([missing_at[holes + (dr * stride + dc)] for dr, dc in NEIGHBOR_OFFSETS[k : k + 4]])
-        for k in range(0, len(NEIGHBOR_OFFSETS), 4)
-    ]
+    offsets = np.array([dr * stride + dc for dr, dc in NEIGHBOR_OFFSETS]).reshape(4, 4)
+    gaps = [missing_at[line[:, None] + holes].any(axis=0) for line in offsets]
     ok = ~np.array([np.logical_or.reduce([gaps[d] for d in lines]) for *_, lines in SLOTS])
     fillable = ok.any(axis=0)
     ok = ok[:, fillable]
@@ -115,16 +117,16 @@ def _fill_round(values: np.ndarray, missing_at: np.ndarray, holes: np.ndarray) -
     for s, (first, w, _) in enumerate(SLOTS):
         at = np.flatnonzero(ok[s])
         base = cells[at]
-        v0, v1, v2, v3 = (flat[base + (dr * width + dc)] for dr, dc in NEIGHBOR_OFFSETS[first : first + 4])
+        v0, v1, v2, v3 = (
+            np.take(flat, base + (dr * width + dc), axis=0) for dr, dc in NEIGHBOR_OFFSETS[first : first + 4]
+        )
         preds[s, at] = w[0] * v0 + w[1] * v1 + w[2] * v2 + w[3] * v3
 
     all_lines = ok[0] & ok[1] & ok[2] & ok[3]  # slots 0-3 are the lines
     lines = preds[:4, all_lines]
     mean = (lines[0] + lines[1] + lines[2] + lines[3]) * 0.25
     worst = np.abs(lines - mean).argmax(axis=0)  # first index wins ties
-    worst_val = np.take_along_axis(lines, worst[None], axis=0)[0]
-    np.put_along_axis(lines, worst[None], ((4.0 * mean - worst_val) / 3.0)[None], axis=0)
-    preds[:4, all_lines] = lines
+    preds[:4, all_lines] = np.where(np.arange(4)[:, None, None] == worst, (4.0 * mean - lines) / 3.0, lines)
 
     # preds is zero where a slot is not available.
     flat[cells] = np.clip(preds.sum(axis=0) / ok.sum(axis=0)[:, None], 0.0, 255.0)

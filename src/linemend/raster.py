@@ -1,15 +1,17 @@
 """Image/mask data model and a binary PNM (PGM/PPM) codec.
 
 Intensities are stored as float64 so that fractional predictions survive
-intermediate processing; quantization to 8-bit happens only in
-:func:`save_pnm`. Masks are boolean grids where True marks a degraded
-pixel. The stored intensity of a degraded pixel is never trusted: the
-mask is the sole source of truth for missingness.
+intermediate processing; quantization of an image to 8-bit happens
+only in :func:`save_pnm`. Masks are boolean grids where True marks a
+degraded pixel; they are read from and written to PGM bytes directly,
+never through a float image. The stored intensity of a degraded pixel
+is never trusted: the mask is the sole source of truth for missingness.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,34 +99,48 @@ def require_same_grid(a: Image | Mask, b: Image | Mask, a_name: str = "image", b
         )
 
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
+# One header token after any whitespace and '#' comments. A comment
+# runs to the end of its line; the lookahead keeps it from giving any
+# of that back. Bytes-pattern \s is exactly PNM's six whitespace bytes.
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]+)")
 
 
-def _next_token(data: bytes, pos: int, field: str) -> tuple[bytes, int]:
-    """Read one header token, skipping whitespace and '#' comment lines."""
-    n = len(data)
-    while pos < n:
-        ch = data[pos : pos + 1]
-        if ch in b"#":
-            while pos < n and data[pos : pos + 1] not in b"\r\n":
-                pos += 1
-        elif ch in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    if pos >= n:
-        raise PnmError(f"truncated header: missing {field}")
-    start = pos
-    while pos < n and data[pos : pos + 1] not in _WHITESPACE and data[pos : pos + 1] != b"#":
-        pos += 1
-    return data[start:pos], pos
+def _read_pnm(path: str | os.PathLike) -> np.ndarray:
+    """The samples of a binary P5/P6 file with maxval 255, as a read-only
+    uint8 (height, width, channels) view of the file's bytes."""
+    data = Path(path).read_bytes()
+    pos, tokens = 0, []
+    for field in ("magic", "width", "height", "maxval"):
+        match = _TOKEN.match(data, pos)
+        if match is None:
+            raise PnmError(f"truncated header: missing {field}")
+        token, pos = match[1], match.end()
+        if not tokens and token not in (b"P5", b"P6"):
+            raise PnmError(f"unsupported magic {token!r} (expected P5 or P6)")
+        if tokens and not token.isdigit():
+            raise PnmError(f"invalid {field} {token!r}")
+        tokens.append(token)
+    width, height, maxval = map(int, tokens[1:])
+    channels = 1 if tokens[0] == b"P5" else 3
+    if width < 1 or height < 1:
+        raise PnmError(f"invalid dimensions {width}x{height}")
+    if maxval != 255:
+        raise PnmError(f"unsupported maxval {maxval} (only 255)")
+    if not data[pos : pos + 1].isspace():
+        raise PnmError("malformed header: missing whitespace before pixel data")
+    expected, got = width * height * channels, len(data) - pos - 1
+    if got < expected:
+        raise PnmError(f"truncated payload: expected {expected} bytes, got {got}")
+    samples = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos + 1)
+    return samples.reshape(height, width, channels)
 
 
-def _int_token(data: bytes, pos: int, field: str) -> tuple[int, int]:
-    tok, pos = _next_token(data, pos, field)
-    if not tok.isdigit():
-        raise PnmError(f"invalid {field} {tok!r}")
-    return int(tok), pos
+def _write_pnm(samples: np.ndarray, path: str | os.PathLike) -> None:
+    """Write C-contiguous uint8 (height, width, channels) samples as P5/P6."""
+    height, width, channels = samples.shape
+    with open(path, "wb") as f:
+        f.write(f"{'P5' if channels == 1 else 'P6'}\n{width} {height}\n255\n".encode("ascii"))
+        f.write(samples)
 
 
 def load_pnm(path: str | os.PathLike) -> Image:
@@ -133,30 +149,7 @@ def load_pnm(path: str | os.PathLike) -> Image:
     Only maxval 255 is supported; samples are widened to float64
     without rescaling.
     """
-    data = Path(path).read_bytes()
-    magic, pos = _next_token(data, 0, "magic")
-    if magic == b"P5":
-        channels = 1
-    elif magic == b"P6":
-        channels = 3
-    else:
-        raise PnmError(f"unsupported magic {magic!r} (expected P5 or P6)")
-    width, pos = _int_token(data, pos, "width")
-    height, pos = _int_token(data, pos, "height")
-    maxval, pos = _int_token(data, pos, "maxval")
-    if width < 1 or height < 1:
-        raise PnmError(f"invalid dimensions {width}x{height}")
-    if maxval != 255:
-        raise PnmError(f"unsupported maxval {maxval} (only 255)")
-    if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
-        raise PnmError("malformed header: missing whitespace before pixel data")
-    pos += 1
-    expected = width * height * channels
-    payload = data[pos : pos + expected]
-    if len(payload) < expected:
-        raise PnmError(f"truncated payload: expected {expected} bytes, got {len(payload)}")
-    samples = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
-    return Image(samples.reshape(height, width, channels))
+    return Image(_read_pnm(path).astype(np.float64))
 
 
 def save_pnm(image: Image, path: str | os.PathLike) -> None:
@@ -174,20 +167,17 @@ def save_pnm(image: Image, path: str | os.PathLike) -> None:
     # the sum is cast as it is made, without a float copy of the image.
     quantized = np.empty(data.shape, dtype=np.uint8)
     np.add(data, 0.5, out=quantized, casting="unsafe")
-    magic = "P5" if image.channels == 1 else "P6"
-    with open(path, "wb") as f:
-        f.write(f"{magic}\n{image.width} {image.height}\n255\n".encode("ascii"))
-        f.write(quantized)
+    _write_pnm(quantized, path)
 
 
 def mask_from_pgm(path: str | os.PathLike) -> Mask:
     """Read a P5 file as a mask: pixel value 0 = intact, nonzero = degraded."""
-    img = load_pnm(path)
-    if img.channels != 1:
+    samples = _read_pnm(path)
+    if samples.shape[2] != 1:
         raise PnmError("mask must be a grayscale P5 file")
-    return Mask(img.data[:, :, 0] != 0)
+    return Mask(samples[:, :, 0] != 0)
 
 
 def mask_to_pgm(mask: Mask, path: str | os.PathLike) -> None:
     """Write a mask as a P5 file using the 0 = intact, 255 = degraded convention."""
-    save_pnm(Image(np.where(mask.degraded, 255.0, 0.0)), path)
+    _write_pnm(np.where(mask.degraded[:, :, None], np.uint8(255), np.uint8(0)), path)

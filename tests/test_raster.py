@@ -78,6 +78,48 @@ def test_rejects_missing_header_field(tmp_path):
         load_pnm(path)
 
 
+HEADER_ERRORS = [
+    (b"P5\n4 # 12\n", "truncated header: missing height"),
+    (b"P5\n2 1 # c", "truncated header: missing maxval"),
+    (b"P5\n#only comment", "truncated header: missing width"),
+    (b"P52 1 255\n\0\0", "unsupported magic b'P52' (expected P5 or P6)"),
+    (b"P5\n+2 1 255\n\0\0", "invalid width b'+2'"),
+    (b"P5\n2 1\n255#\n\7\10", "malformed header: missing whitespace before pixel data"),
+    (b"P5 2 1 255", "malformed header: missing whitespace before pixel data"),
+    (b"P5 2 1 255\n\1", "truncated payload: expected 2 bytes, got 1"),
+]
+
+HEADER_LOADS = [
+    (b"P5 2#x\n1 255\n\7\10", [7, 8]),
+    (b"P5\x0b2\x0c1\r255\n\7\10", [7, 8]),
+    (b"P5\r2\r1\r255\r\7\10", [7, 8]),
+    (b"P5\n# a\r# b\n2 1 255\n\1\2", [1, 2]),
+    (b"P5\n2 1\n255 \1\2", [1, 2]),
+    (b"P5\n 2 1\n 255\n\0\0", [0, 0]),
+    (b"P5\n2 1 0255\n\0\0", [0, 0]),
+]
+
+
+@pytest.mark.parametrize("content, message", HEADER_ERRORS)
+def test_header_table_errors(tmp_path, content, message):
+    path = tmp_path / "h.pgm"
+    path.write_bytes(content)
+    for read in (load_pnm, mask_from_pgm):
+        with pytest.raises(PnmError) as exc:
+            read(path)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("content, samples", HEADER_LOADS)
+def test_header_table_loads(tmp_path, content, samples):
+    path = tmp_path / "h.pgm"
+    path.write_bytes(content)
+    img = load_pnm(path)
+    assert img.data.shape == (1, 2, 1)
+    assert img.data[0, :, 0].tolist() == samples
+    assert mask_from_pgm(path).degraded[0].tolist() == [v != 0 for v in samples]
+
+
 def test_round_trip_integer_images(tmp_path):
     rng = np.random.default_rng(11)
     for channels in (1, 3):
@@ -164,6 +206,22 @@ def test_mask_pgm_round_trip(tmp_path):
     path = tmp_path / "m.pgm"
     mask_to_pgm(mask, path)
     assert np.array_equal(mask_from_pgm(path).degraded, mask.degraded)
+
+
+def test_masks_never_become_float_images(tmp_path):
+    # A 1024x1024 mask is 1 MiB of bytes and 8 MiB as a float64 image.
+    mask = Mask(np.random.default_rng(5).random((1024, 1024)) < 0.3)
+    path = tmp_path / "big.pgm"
+    peaks = []
+    for step in (lambda: mask_to_pgm(mask, path), lambda: mask_from_pgm(path)):
+        tracemalloc.start()
+        try:
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 2 * 2**20
+    assert peaks[1] < 4 * 2**20
 
 
 def test_mask_rejects_color_file(tmp_path):
