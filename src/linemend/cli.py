@@ -14,15 +14,7 @@ from pathlib import Path
 from .degrade import LineSpec, apply_mask, generate_line_mask
 from .engine import EngineConfig, inpaint, inpaint_report
 from .metrics import psnr, ssim
-from .raster import (
-    DimensionMismatch,
-    Image,
-    PnmError,
-    load_pnm,
-    mask_from_pgm,
-    mask_to_pgm,
-    save_pnm,
-)
+from .raster import Image, load_pnm, mask_from_pgm, mask_to_pgm, save_pnm
 
 SWEEP_CSV_HEADER = "param_name,param_value,seed,psnr_db,ssim"
 
@@ -165,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PnmError, DimensionMismatch, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

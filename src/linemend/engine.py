@@ -73,73 +73,13 @@ _FALLBACK_REACH = 10
 _FALLBACK_BLOCK_BYTES = 1 << 19
 
 
-def _pad_missing(missing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The missing set padded by 2 on every side, its border counted as
-    missing, and the flat indices of the holes inside it, in row-major
-    order. A hole's 16 neighbours then sit at fixed flat offsets that
-    never leave the padded grid.
-    """
-    height, width = missing.shape
-    padded = np.zeros((height + 4, width + 4), dtype=bool)
-    padded[2:-2, 2:-2] = missing
-    holes = np.flatnonzero(padded)
-    padded[:2] = padded[-2:] = padded[:, :2] = padded[:, -2:] = True
-    return padded, holes
-
-
-def _fill_round(values: np.ndarray, missing_at: np.ndarray, holes: np.ndarray) -> np.ndarray:
-    """One Jacobi round over the holes at flat indices ``holes`` of the
-    padded grid whose flattened missing set is ``missing_at``.
-
-    ``values`` is the C-contiguous (height, width, channels) state. Each
-    line's four missing flags are read at every hole with one (4, holes)
-    gather. Each slot is gathered and predicted only at the holes where
-    it is available, so every tap read is a known pixel; a tap is one
-    ``np.take`` of whole pixels along a 1-D index. The outlier step
-    rewrites the most deviant line prediction with one ``np.where`` over
-    all four. Every gather is made before the fillable holes are
-    committed into ``values`` in place, clamped to [0, 255].
-    ``missing_at`` is not modified. Returns the boolean fillable set
-    over ``holes``.
-    """
-    _, width, channels = values.shape
-    stride = width + 4
-    offsets = np.array([dr * stride + dc for dr, dc in NEIGHBOR_OFFSETS]).reshape(4, 4)
-    gaps = [missing_at[line[:, None] + holes].any(axis=0) for line in offsets]
-    ok = ~np.array([np.logical_or.reduce([gaps[d] for d in lines]) for *_, lines in SLOTS])
-    fillable = ok.any(axis=0)
-    ok = ok[:, fillable]
-    rows, cols = np.divmod(holes[fillable], stride)
-    cells = (rows - 2) * width + (cols - 2)
-
-    flat = values.reshape(-1, channels)
-    preds = np.zeros((len(SLOTS), cells.size, channels), dtype=np.float64)
-    for s, (first, w, _) in enumerate(SLOTS):
-        at = np.flatnonzero(ok[s])
-        base = cells[at]
-        v0, v1, v2, v3 = (
-            np.take(flat, base + (dr * width + dc), axis=0) for dr, dc in NEIGHBOR_OFFSETS[first : first + 4]
-        )
-        preds[s, at] = w[0] * v0 + w[1] * v1 + w[2] * v2 + w[3] * v3
-
-    all_lines = ok[0] & ok[1] & ok[2] & ok[3]  # slots 0-3 are the lines
-    lines = preds[:4, all_lines]
-    mean = (lines[0] + lines[1] + lines[2] + lines[3]) * 0.25
-    worst = np.abs(lines - mean).argmax(axis=0)  # first index wins ties
-    preds[:4, all_lines] = np.where(np.arange(4)[:, None, None] == worst, (4.0 * mean - lines) / 3.0, lines)
-
-    # preds is zero where a slot is not available.
-    flat[cells] = np.clip(preds.sum(axis=0) / ok.sum(axis=0)[:, None], 0.0, 255.0)
-    return fillable
-
-
 def run_pass(values: np.ndarray, missing: np.ndarray, config: EngineConfig | None = None, workers: int = 1):
     """One Jacobi fill round over the current missing set: the first
     round of inpaint_report's loop.
 
     ``values`` is the (height, width) or (height, width, channels)
     pre-pass state. It is read as float64 like an Image's data
-    (ValueError if a sample is not finite) and is not modified.
+    (ValueError if a sample is complex or not finite) and is not modified.
     ``missing`` marks pixels still to fill, as truth values on the same
     grid (DimensionMismatch otherwise). Every missing pixel with at
     least one available predictor slot is committed (clamped to
@@ -173,24 +113,65 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
     after the first therefore re-predicts just the remaining holes next
     to a pixel that the round before filled; when there are none, the
     round fills 0 and ends the loop. The holes are kept as a compacted
-    list of flat indices into the padded missing set of _pad_missing.
+    list of flat indices into the padded missing set.
+
+    A round reads each line's four missing flags at every candidate with
+    one (4, candidates) gather, and gathers and predicts each slot only
+    where it is available, so every tap read is a known pixel; a tap is
+    one ``np.take`` of whole pixels along a 1-D index. The outlier step
+    rewrites the most deviant line prediction with one ``np.where`` over
+    all four. The fillable holes are committed into ``values``, clamped
+    to [0, 255], only after every gather is made.
     """
-    stride = degraded.shape[1] + 4
-    padded, holes = _pad_missing(degraded)
+    height, width, channels = values.shape
+    stride = width + 4
+    padded = np.zeros((height + 4, stride), dtype=bool)
+    padded[2:-2, 2:-2] = degraded
+    holes = np.flatnonzero(padded)
+    padded[:2] = padded[-2:] = padded[:, :2] = padded[:, -2:] = True
     missing_at = padded.ravel()
     near_filled = np.zeros_like(missing_at)
-    offsets = [dr * stride + dc for dr, dc in NEIGHBOR_OFFSETS]
+    offsets = np.array([dr * stride + dc for dr, dc in NEIGHBOR_OFFSETS]).reshape(4, 4)  # a row per line
+    taps = [dr * width + dc for dr, dc in NEIGHBOR_OFFSETS]
+    flat = values.reshape(-1, channels)
+
+    # A function, so that a round's arrays are freed when it returns,
+    # before the bookkeeping and the next round run.
+    def fill_round(candidates: np.ndarray) -> np.ndarray:
+        gaps = [missing_at[line[:, None] + candidates].any(axis=0) for line in offsets]
+        ok = ~np.array([np.logical_or.reduce([gaps[d] for d in lines]) for *_, lines in SLOTS])
+        fillable = ok.any(axis=0)
+        ok = ok[:, fillable]
+        rows, cols = np.divmod(candidates[fillable], stride)
+        cells = (rows - 2) * width + (cols - 2)
+
+        preds = np.zeros((len(SLOTS), cells.size, channels), dtype=np.float64)
+        for s, (first, w, _) in enumerate(SLOTS):
+            at = np.flatnonzero(ok[s])
+            base = cells[at]
+            v0, v1, v2, v3 = (np.take(flat, base + tap, axis=0) for tap in taps[first : first + 4])
+            preds[s, at] = w[0] * v0 + w[1] * v1 + w[2] * v2 + w[3] * v3
+
+        all_lines = ok[0] & ok[1] & ok[2] & ok[3]  # slots 0-3 are the lines
+        lines = preds[:4, all_lines]
+        mean = (lines[0] + lines[1] + lines[2] + lines[3]) * 0.25
+        worst = np.abs(lines - mean).argmax(axis=0)  # first index wins ties
+        preds[:4, all_lines] = np.where(np.arange(4)[:, None, None] == worst, (4.0 * mean - lines) / 3.0, lines)
+
+        # preds is zero where a slot is not available.
+        flat[cells] = np.clip(preds.sum(axis=0) / ok.sum(axis=0)[:, None], 0.0, 255.0)
+        return candidates[fillable]
+
     candidates = holes
     fill_counts: list[int] = []
     while holes.size and len(fill_counts) < max_passes:
-        fillable = _fill_round(values, missing_at, candidates)
-        done = candidates[fillable]
+        done = fill_round(candidates)
         fill_counts.append(done.size)
         if done.size == 0:
             break
         missing_at[done] = False
         holes = holes[missing_at[holes]]
-        for off in offsets:
+        for off in offsets.flat:
             near_filled[done - off] = True
         # Only flags at remaining holes are ever read, so clearing
         # those is enough; flags left on known pixels are never seen.

@@ -31,14 +31,20 @@ class Image:
     """A height x width x channels grid of real-valued intensities.
 
     ``channels`` is 1 (grayscale) or 3 (RGB). The nominal range is
-    [0, 255]; construction only enforces finiteness so that synthetic
-    test fields and unclamped predictions can be represented.
+    [0, 255]; construction only enforces real, finite samples so that
+    synthetic test fields and unclamped predictions can be represented.
+    Samples are stored as float64. Complex samples raise ValueError;
+    boolean and integer samples are finite by type and are not scanned.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
+        arr = np.asarray(self.data)
+        kind = arr.dtype.kind
+        if kind == "c":
+            raise ValueError("image samples must be real")
+        arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim == 2:
             arr = arr[:, :, np.newaxis]
         if arr.ndim != 3:
@@ -47,7 +53,7 @@ class Image:
             raise ValueError(f"channel count must be 1 or 3, got {arr.shape[2]}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"image must be at least 1x1, got {arr.shape[1]}x{arr.shape[0]}")
-        if not np.isfinite(arr).all():
+        if kind not in "biu" and not np.isfinite(arr).all():
             raise ValueError("image samples must be finite")
         object.__setattr__(self, "data", arr)
 
@@ -149,7 +155,7 @@ def load_pnm(path: str | os.PathLike) -> Image:
     Only maxval 255 is supported; samples are widened to float64
     without rescaling.
     """
-    return Image(_read_pnm(path).astype(np.float64))
+    return Image(_read_pnm(path))
 
 
 def save_pnm(image: Image, path: str | os.PathLike) -> None:

@@ -23,7 +23,7 @@ from linemend import (
     run_pass,
 )
 from linemend import engine
-from linemend.engine import _fallback_fill, _fill_round, _jacobi_rounds, _pad_missing
+from linemend.engine import _fallback_fill, _jacobi_rounds
 from linemend.kernels import DIRECTION_VECTORS, NEIGHBOR_OFFSETS
 
 from conftest import natural_image
@@ -176,18 +176,26 @@ def test_run_pass_empty_missing_is_identity():
 
 
 def test_fill_round_zero_holes():
-    values = affine_image(6, 6, channels=3).data.copy()
-    before = values.copy()
-    padded, _ = _pad_missing(np.zeros((6, 6), bool))
-    none = np.zeros(0, dtype=np.int64)
-    fillable = _fill_round(values, padded.ravel(), none)
-    assert fillable.shape == (0,)
-    assert values.tobytes() == before.tobytes()
+    # Round 1 fills the lone hole and nothing of the 3-wide band, which is
+    # more than 2 rows from it, so round 2 has no candidate hole at all.
+    values = affine_image(12, 12, channels=3).data.copy()
+    band = np.zeros((12, 12), bool)
+    band[7:10] = True
+    missing = band.copy()
+    missing[2, 3] = True
+    values[missing] = 0.0
+    after_one = values.copy()
+    _jacobi_rounds(after_one, missing, 1)
+    fill_counts, residual, _, _ = _jacobi_rounds(values, missing, 64)
+    assert fill_counts == [1, 0]
+    assert np.array_equal(residual, band)
+    assert values.tobytes() == after_one.tobytes()
 
 
 def test_fill_round_reads_only_known_pixels():
-    # Masked pixels hold +-inf. A round that read any of them, even for a
-    # slot it then discarded, would raise under errstate(all="raise").
+    # Masked pixels hold +-inf. A round that read any still-missing one,
+    # even for a slot it then discarded, would raise under
+    # errstate(all="raise").
     rng = np.random.default_rng(21)
     height, width = 16, 18
     missing = rng.random((height, width)) < 0.3
@@ -196,21 +204,36 @@ def test_fill_round_reads_only_known_pixels():
     known = rng.uniform(0.0, 255.0, (height, width, 2))
     values = known.copy()
     values[missing] = np.where(rng.random((int(missing.sum()), 1)) < 0.5, np.inf, -np.inf)
-    padded, holes = _pad_missing(missing)
     with np.errstate(all="raise"):
-        fillable = _fill_round(values, padded.ravel(), holes)
+        fill_counts, residual, _, _ = _jacobi_rounds(values, missing, 64)
 
-    # The same round over finite placeholders commits the same values.
+    # The same rounds over finite placeholders commit the same values.
     expected = known.copy()
     expected[missing] = 0.0
-    _fill_round(expected, padded.ravel(), holes)
-    rows, cols = np.divmod(holes[fillable], width + 4)
-    assert fillable.any()
-    assert (rows == 2).any() and (cols == width + 1).any()  # first row, last column
-    assert np.isfinite(values[rows - 2, cols - 2]).all()
-    assert values[rows - 2, cols - 2].tobytes() == expected[rows - 2, cols - 2].tobytes()
-    assert np.isinf(values[missing]).sum() == 2 * (holes.size - rows.size)
+    assert _jacobi_rounds(expected, missing, 64)[0] == fill_counts
+    filled = missing & ~residual
+    assert len(fill_counts) > 1 and filled.any()
+    assert filled[0].any() and filled[:, -1].any()  # first row, last column
+    assert np.isfinite(values[filled]).all()
+    assert values[filled].tobytes() == expected[filled].tobytes()
+    assert np.isinf(values[residual]).all()
     assert values[~missing].tobytes() == known[~missing].tobytes()
+
+
+def test_jacobi_rounds_peak_does_not_stack():
+    # 50% i.i.d. holes on 512x512 take 51 rounds. Each round's arrays are
+    # freed before the next one runs, so the peak is one round's, not a
+    # sum over rounds.
+    values = natural_image().data.copy()
+    missing = np.random.default_rng(1).random((512, 512)) < 0.5
+    tracemalloc.start()
+    try:
+        fill_counts, _, _, _ = _jacobi_rounds(values, missing, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fill_counts) == 51
+    assert peak < 7.3e6
 
 
 def test_run_pass_leaves_arguments_unmodified():

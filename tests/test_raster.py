@@ -13,6 +13,7 @@ from linemend import (
     load_pnm,
     mask_from_pgm,
     mask_to_pgm,
+    run_pass,
     save_pnm,
 )
 from linemend.raster import require_same_grid
@@ -238,6 +239,13 @@ def test_image_validation():
         Image(np.full((2, 2), np.nan))
     img = Image(np.zeros((4, 6)))
     assert (img.height, img.width, img.channels) == (4, 6, 1)
+
+
+def test_image_rejects_complex_samples():
+    with pytest.raises(ValueError, match="real"):
+        Image(np.array([[1 + 2j, 3]]))
+    with pytest.raises(ValueError, match="real"):
+        run_pass(np.array([[1 + 0j, 3]]), np.zeros((1, 2), bool))
 
 
 def test_dimension_pairing_checked():
