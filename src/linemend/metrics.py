@@ -60,8 +60,9 @@ _GAUSS = _gaussian_window()
 # Window positions per tile of the dirty-window pass, down and across.
 # A tile's pixel patch is (16 + 10) x (22 + 10) = 26 x 32; a patch row
 # length that is a multiple of 8 keeps every vertical mean on the BLAS
-# kernel's main loop, which the whole-image pass uses for all columns of
-# an image whose width is a multiple of 8, so the two agree bit for bit.
+# kernel's main loop, which a whole-image pass (the tests' ssim_oracle)
+# uses for all columns of an image whose width is a multiple of 8, so
+# the two agree bit for bit.
 _TILE_H = 16
 _TILE_W = 22
 _PATCH_H = _TILE_H + _WINDOW - 1
@@ -138,9 +139,10 @@ def ssim(reference: Image, test: Image) -> float:
     the numerator and denominator of its score are then the same float
     expression. Only the tiles of windows that touch a differing pixel
     are therefore evaluated, _TILE_BATCH tiles at a time, and every other
-    window enters the mean as 1.0; when the dirty tiles' patches would
-    hold more pixels than the image, the whole image is scored in one
-    piece instead.
+    window enters the mean as 1.0. Memory is the grid of window scores
+    plus one batch of tiles, whatever the difference; a difference that
+    touches nearly every tile costs up to about 1.7x a whole-image pass,
+    since neighbouring patches overlap.
     """
     _require_comparable(reference, test)
     height, width = reference.height, reference.width
@@ -150,8 +152,6 @@ def ssim(reference: Image, test: Image) -> float:
         )
     ref, tst = reference.data, test.data
     tile_r, tile_c = _dirty_tiles((ref != tst).any(axis=2))
-    if tile_r.size * _PATCH_H * _PATCH_W > height * width:
-        return float(_ssim_map(_luminance(ref), _luminance(tst)).mean())
     grid = np.ones((height - _WINDOW + 1, width - _WINDOW + 1))
     for first in range(0, tile_r.size, _TILE_BATCH):
         _score_tiles(grid, ref, tst, tile_r[first : first + _TILE_BATCH], tile_c[first : first + _TILE_BATCH])

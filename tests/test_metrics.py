@@ -147,7 +147,7 @@ def image_pairs(draw):
     """A random image and a copy that differs under a random mask, from
     empty (or a few pixels) to full, optionally also along the last row
     and column."""
-    # Up to 160 so that a few dirty tiles stay cheaper than the image.
+    # Up to 160: several tiles on each axis, yet quick to score 150 times.
     height = draw(st.integers(11, 160))
     width = draw(st.integers(11, 160))
     channels = draw(st.sampled_from([1, 3]))
@@ -178,7 +178,7 @@ def test_ssim_matches_whole_image_oracle(pair):
 
 
 def test_ssim_unrelated_images_equal_oracle():
-    # Every window differs, so the whole image is scored in one piece.
+    # Every window differs, so every tile is dirty and scored.
     rng = np.random.default_rng(30)
     a = Image(rng.uniform(0.0, 255.0, (96, 120, 3)))
     b = Image(rng.uniform(0.0, 255.0, (96, 120, 3)))
@@ -193,26 +193,39 @@ def test_ssim_width_sweep_cells_equal_oracle(natural512):
             assert ssim(natural512, restored) == ssim_oracle(natural512, restored), (width, seed)
 
 
+def test_ssim_line_count_cells_equal_oracle(natural512):
+    # 345-394 dirty tiles each: more patch pixels than the image holds.
+    for count, seed in ((8, 1), (9, 1), (10, 0), (10, 1)):
+        mask = generate_line_mask(512, 512, LineSpec(count=count, width=1, seed=seed))
+        restored = inpaint(apply_mask(natural512, mask), mask)
+        assert ssim(natural512, restored) == ssim_oracle(natural512, restored), (count, seed)
+
+
 def test_ssim_tile_batches_agree(natural512):
     mask = generate_line_mask(512, 512, LineSpec(count=2, width=9, seed=3))
     restored = inpaint(apply_mask(natural512, mask), mask)
-    want = ssim(natural512, restored)
-    for batch in (1, 7):
-        with mock.patch.object(metrics, "_TILE_BATCH", batch):
-            assert ssim(natural512, restored) == want, batch
+    # The second pair differs everywhere, so all 736 tiles are dirty.
+    for test in (restored, Image(natural512.data + 1.0)):
+        want = ssim(natural512, test)
+        for batch in (1, 7):
+            with mock.patch.object(metrics, "_TILE_BATCH", batch):
+                assert ssim(natural512, test) == want, batch
 
 
 def test_ssim_memory_does_not_follow_dirty_tiles(natural512):
-    # 150 and 237 dirty tiles, scored in batches: both calls peak alike,
-    # where scoring all tiles at once took about 40 kB more per tile.
-    peaks = []
-    for count in (4, 6):
+    # 150, 237 and 329 dirty tiles, then all 736, scored in batches of
+    # about 40 kB a tile: every call peaks alike.
+    changed = []
+    for count in (4, 6, 10):
         mask = generate_line_mask(512, 512, LineSpec(count=count, width=1, seed=4))
-        changed = Image(natural512.data + mask.degraded[:, :, None])
+        changed.append(Image(natural512.data + mask.degraded[:, :, None]))
+    changed.append(Image(natural512.data + 1.0))
+    peaks = []
+    for test in changed:
         tracemalloc.start()
         try:
-            ssim(natural512, changed)
+            ssim(natural512, test)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert abs(peaks[1] - peaks[0]) < 1e5
+    assert all(abs(peak - peaks[0]) < 1e5 for peak in peaks[1:]), peaks
