@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import Image, Mask, require_same_grid
+from .raster import Image, Mask, _finite_image, require_same_grid
 
 
 @dataclass(frozen=True)
@@ -94,4 +94,4 @@ def apply_mask(image: Image, mask: Mask) -> Image:
     require_same_grid(image, mask)
     data = image.data.copy()
     data[mask.degraded] = 0.0
-    return Image(data)
+    return _finite_image(data)

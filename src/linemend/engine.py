@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import NEIGHBOR_OFFSETS, SLOTS
-from .raster import DimensionMismatch, Image, Mask, require_same_grid
+from .raster import DimensionMismatch, Image, Mask, _finite_image, require_same_grid
 
 
 @dataclass(frozen=True)
@@ -181,6 +181,14 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
     return fill_counts, padded[2:-2, 2:-2], rows - 2, cols - 2
 
 
+def _box(table: np.ndarray, at: np.ndarray, corners: tuple[int, int, int, int]) -> np.ndarray:
+    """The box sums S[b,e] - S[t,e] - S[b,l] + S[t,l] of the flat summed-area
+    ``table`` (counts or channel sums), read at the flat offsets ``corners``
+    (b,e; t,e; b,l; t,l) past each index of ``at``, in that order."""
+    bottom_end, top_end, bottom_left, top_left = (np.take(table[c:], at, axis=0) for c in corners)
+    return bottom_end - top_end - bottom_left + top_left
+
+
 def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> int:
     """Fill the residual holes at (``rows``, ``cols``), which are all the
     pixels of ``missing`` in row-major order, with the mean of the known
@@ -192,13 +200,18 @@ def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, co
     half-width h - 1 only when it holds nothing but holes, so the rows it
     reads at h are consecutive band rows, and its columns end at most 2
     past the last hole column. One walk down the band makes its rows in
-    blocks of about _FALLBACK_BLOCK_BYTES, so their memory grows with
-    neither the image height nor the number of hole rows. Each row holds
-    the channel sums, which keep the whole-image table's floating-point
-    additions (one running row of prefix sums down the image, summed
-    along the row), and the integer known-pixel counts. In the block that
-    holds the bottom edge of a hole's largest window, the counts pick the
-    hole's window and its box is read.
+    blocks of about _FALLBACK_BLOCK_BYTES, and at least 2 * reach + 1
+    rows, and carries the last 2 * reach + 1 rows of each block into the
+    next, so their memory grows with neither the image height nor the
+    number of hole rows. Each row holds the channel sums and the integer
+    known-pixel counts. The sums keep the whole-image table's
+    floating-point additions: for each block, one pass over the image
+    rows since the block before adds each to the running row of prefix
+    sums down the image, which is kept in the block at band rows and in
+    ``acc`` between them, and the block's rows are then summed along the
+    row. In the block that holds the bottom edge of a hole's largest
+    window, _box reads the counts at each half-width's four corners to
+    pick the hole's window, then the sums at that window's corners.
     """
     if rows.size == 0:
         return 0
@@ -239,13 +252,14 @@ def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, co
     # values * 0.0, a +-0 that leaves a sum started from +0 as it is.
     flat[at] = 0.0
     acc = np.zeros((right, channels))  # table row t, without its column 0
+    # positions[t] is table row t's band position, or -1 off the band.
+    positions = np.where(in_band, slot, -1).tolist()
     t = 0
     for start in range(0, band.size, block):
         stored = band[start : start + block]
         n = stored.size
-        if start:
-            for table in sums, counts:
-                table[:carry] = table[block : block + carry]
+        for table in sums, counts:
+            table[:carry] = table[block : block + carry]
         sum_rows = sums[carry : carry + n, reach + 1 : reach + 1 + right]
         count_rows = counts[carry - 1 : carry + n, reach + 1 : reach + 1 + right]
         # Counts are exact in any order of addition: each band row adds
@@ -254,16 +268,13 @@ def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, co
         np.logical_not(missing[stored - 1, :right], out=known)
         known[stored == 0] = 0
         np.cumsum(known, axis=1, out=known)
+        for before, row in zip(count_rows, count_rows[1:]):
+            np.add(before, row, row)
         # Table row t + 1 is row t plus image row t, kept in the block at
         # band rows and in acc between them.
-        dst = [acc] * (stored[-1] - t)
-        count_list = list(count_rows)
-        for band_row, sum_row, before, count_row in zip(stored.tolist(), sum_rows, count_list, count_list[1:]):
-            np.add(before, count_row, count_row)
-            if band_row > t:
-                dst[band_row - 1 - t] = sum_row
         prev = acc
-        for image_row, row in zip(values[t : stored[-1], :right], dst):
+        for image_row, pos in zip(values[t : stored[-1], :right], positions[t + 1 : stored[-1] + 1]):
+            row = acc if pos < 0 else sum_rows[pos - start]
             np.add(prev, image_row, row)
             prev = row
         acc[:] = prev
@@ -283,17 +294,10 @@ def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, co
                 break
             top, bottom = (reach - half) * span, (reach + half + 1) * span
             left, end = reach - half, reach + half + 1
-            count = (
-                count_at[bottom + end :][corner] - count_at[top + end :][corner]
-                - count_at[bottom + left :][corner] + count_at[top + left :][corner]
-            )
+            corners = (bottom + end, top + end, bottom + left, top + left)
+            count = _box(count_at, corner, corners)
             found = count != 0
-            hit = corner[found]
-            box = (
-                np.take(cells[bottom + end :], hit, axis=0) - np.take(cells[top + end :], hit, axis=0)
-                - np.take(cells[bottom + left :], hit, axis=0) + np.take(cells[top + left :], hit, axis=0)
-            )
-            out[pending[found]] = box / count[found, None]
+            out[pending[found]] = _box(cells, corner[found], corners) / count[found, None]
             pending, corner = pending[~found], corner[~found]
     np.clip(out, 0.0, 255.0, out=out)
     flat[at] = out
@@ -312,7 +316,7 @@ def inpaint_report(image: Image, mask: Mask, config: EngineConfig | None = None,
     values = image.data.copy()
     fill_counts, missing, rows, cols = _jacobi_rounds(values, mask.degraded, config.max_passes)
     fallback_count = _fallback_fill(values, missing, rows, cols)
-    return InpaintReport(image=Image(values), pass_fill_counts=tuple(fill_counts), fallback_filled=fallback_count)
+    return InpaintReport(image=_finite_image(values), pass_fill_counts=tuple(fill_counts), fallback_filled=fallback_count)
 
 
 def inpaint(image: Image, mask: Mask, config: EngineConfig | None = None, workers: int = 1) -> Image:

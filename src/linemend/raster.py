@@ -70,6 +70,14 @@ class Image:
         return self.data.shape[2]
 
 
+def _finite_image(data: np.ndarray) -> Image:
+    """Wrap float64 (height, width, 1|3) samples that the library made
+    finite itself, without the checks and scans of Image's construction."""
+    image = object.__new__(Image)
+    object.__setattr__(image, "data", data)
+    return image
+
+
 @dataclass(frozen=True)
 class Mask:
     """Boolean degradation map; True = pixel is missing."""

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from linemend import Image, LineSpec, Mask, generate_line_mask, load_pnm, mask_to_pgm, save_pnm
-from linemend.cli import main
+from linemend.cli import main, run_sweep
 
 from conftest import natural_image
 
@@ -205,6 +205,11 @@ def test_sweep_rejects_empty_range(tmp_path, small_image, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: empty sweep range")
     assert not csv_path.exists()
+
+
+def test_run_sweep_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="unknown sweep mode 'diag'"):
+        run_sweep(Image(np.zeros((8, 8))), "diag", 1, 2, 1)
 
 
 def test_module_entry_point_help():

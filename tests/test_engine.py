@@ -507,6 +507,20 @@ def test_inpaint_report_leaves_inputs_unmodified():
     assert np.array_equal(mask.degraded, degraded_before)
 
 
+def test_library_outputs_are_not_scanned_again():
+    # inpaint_report and apply_mask make finite float64 samples
+    # themselves, so they wrap them without Image's checks.
+    rng = np.random.default_rng(13)
+    image = Image(rng.uniform(0.0, 255.0, (40, 40, 3)))
+    mask = Mask(rng.random((40, 40)) < 0.4)
+    expected = [apply_mask(image, mask).data, inpaint_report(image, mask).image.data]
+    with mock.patch.object(Image, "__post_init__", side_effect=AssertionError):
+        results = [apply_mask(image, mask).data, inpaint_report(image, mask).image.data]
+    for got, want in zip(results, expected):
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+
 def test_inpaint_empty_mask_identity():
     rng = np.random.default_rng(4)
     img = Image(rng.uniform(0.0, 255.0, (12, 12, 3)))

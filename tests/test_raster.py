@@ -88,6 +88,7 @@ HEADER_ERRORS = [
     (b"P5\n2 1\n255#\n\7\10", "malformed header: missing whitespace before pixel data"),
     (b"P5 2 1 255", "malformed header: missing whitespace before pixel data"),
     (b"P5 2 1 255\n\1", "truncated payload: expected 2 bytes, got 1"),
+    (b"P5 0 1 255\n", "invalid dimensions 0x1"),
 ]
 
 HEADER_LOADS = [
@@ -237,6 +238,16 @@ def test_image_validation():
         Image(np.zeros((4, 4, 2)))
     with pytest.raises(ValueError, match="finite"):
         Image(np.full((2, 2), np.nan))
+    for shape in (4,), (1, 4, 4, 1):
+        with pytest.raises(ValueError, match=f"image data must be 2-D or 3-D, got ndim={len(shape)}"):
+            Image(np.zeros(shape))
+    for shape, size in ((0, 4), "4x0"), ((4, 0, 3), "0x4"):
+        with pytest.raises(ValueError, match=f"image must be at least 1x1, got {size}"):
+            Image(np.zeros(shape))
+    with pytest.raises(ValueError, match="mask must be 2-D, got ndim=3"):
+        Mask(np.zeros((2, 2, 1), bool))
+    with pytest.raises(ValueError, match="mask must be at least 1x1, got 3x0"):
+        Mask(np.zeros((0, 3), bool))
     img = Image(np.zeros((4, 6)))
     assert (img.height, img.width, img.channels) == (4, 6, 1)
 
