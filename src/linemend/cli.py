@@ -11,6 +11,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .degrade import LineSpec, apply_mask, generate_line_mask
 from .engine import EngineConfig, inpaint, inpaint_report
 from .metrics import psnr, ssim
@@ -33,11 +35,15 @@ def run_sweep(image: Image, mode: str, lo: int, hi: int, seeds: int) -> list[Swe
 
     mode "lines" sweeps the defect-line count at width 1; mode "width"
     sweeps the line width with two lines. Records are ordered by
-    (param_value, seed). Raises ValueError on an unknown mode, fewer
-    than one seed or an empty range.
+    (param_value, seed). Raises ValueError on an unknown mode, a bool
+    or other non-integer ``lo``, ``hi`` or ``seeds``, fewer than one
+    seed or an empty range.
     """
     if mode not in ("lines", "width"):
         raise ValueError(f"unknown sweep mode {mode!r}")
+    for name, n in (("lo", lo), ("hi", hi), ("seeds", seeds)):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {n!r}")
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     if lo > hi:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import Image, Mask, _finite_image, require_same_grid
+from .raster import Image, Mask, _finite_image, _require_count, require_same_grid
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,7 @@ class LineSpec:
 
     def __post_init__(self):
         for name, low in (("count", 0), ("width", 1), ("seed", 0)):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {n!r}")
+            _require_count(name, getattr(self, name), low)
 
 
 def _line_points(r0: int, c0: int, r1: int, c1: int) -> tuple[np.ndarray, np.ndarray]:

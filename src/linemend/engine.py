@@ -17,9 +17,10 @@ is clamped to [0, 255].
 
 Per missing pixel and channel, the predictions of the available slots
 of kernels.SLOTS are averaged: four directional line predictions and
-two surface predictions. A slot is available when every line it names
-has all four pixels known; a slot is gathered and predicted only where
-it is available, so every tap read is a known pixel inside the image.
+two surface predictions. A slot weighs the four pixels of the first
+line it names, and is available when every line it names has all four
+pixels known; a slot is gathered and predicted only where it is
+available, so every tap read is a known pixel inside the image.
 When all four line predictions exist, the one most deviant from their
 mean is first replaced by the mean of the other three. Missing-ness is
 read from a copy of the mask padded by 2 on every side whose border
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import NEIGHBOR_OFFSETS, SLOTS
-from .raster import DimensionMismatch, Image, Mask, _finite_image, require_same_grid
+from .raster import DimensionMismatch, Image, Mask, _finite_image, _require_count, require_same_grid
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,7 @@ class EngineConfig:
     max_passes: int = 64
 
     def __post_init__(self):
-        n = self.max_passes
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"max_passes must be an integer >= 1, got {n!r}")
+        _require_count("max_passes", self.max_passes, 1)
 
 
 @dataclass(frozen=True)
@@ -112,8 +111,9 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
     become fillable only once one of those pixels is filled. Each round
     after the first therefore re-predicts just the remaining holes next
     to a pixel that the round before filled; when there are none, the
-    round fills 0 and ends the loop. The holes are kept as a compacted
-    list of flat indices into the padded missing set.
+    round fills 0 and ends the loop. When no pixel is known, the first
+    round is not run: it is reported as filling 0. The holes are kept as
+    a compacted list of flat indices into the padded missing set.
 
     A round reads each line's four missing flags at every candidate with
     one (4, candidates) gather, and gathers and predicts each slot only
@@ -132,24 +132,24 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
     missing_at = padded.ravel()
     near_filled = np.zeros_like(missing_at)
     offsets = np.array([dr * stride + dc for dr, dc in NEIGHBOR_OFFSETS]).reshape(4, 4)  # a row per line
-    taps = [dr * width + dc for dr, dc in NEIGHBOR_OFFSETS]
+    taps = np.array([dr * width + dc for dr, dc in NEIGHBOR_OFFSETS]).reshape(4, 4)  # a row per line
     flat = values.reshape(-1, channels)
 
     # A function, so that a round's arrays are freed when it returns,
     # before the bookkeeping and the next round run.
     def fill_round(candidates: np.ndarray) -> np.ndarray:
         gaps = [missing_at[line[:, None] + candidates].any(axis=0) for line in offsets]
-        ok = ~np.array([np.logical_or.reduce([gaps[d] for d in lines]) for *_, lines in SLOTS])
+        ok = ~np.array([np.logical_or.reduce([gaps[d] for d in lines]) for lines, _ in SLOTS])
         fillable = ok.any(axis=0)
         ok = ok[:, fillable]
         rows, cols = np.divmod(candidates[fillable], stride)
         cells = (rows - 2) * width + (cols - 2)
 
         preds = np.zeros((len(SLOTS), cells.size, channels), dtype=np.float64)
-        for s, (first, w, _) in enumerate(SLOTS):
+        for s, (lines, w) in enumerate(SLOTS):
             at = np.flatnonzero(ok[s])
             base = cells[at]
-            v0, v1, v2, v3 = (np.take(flat, base + tap, axis=0) for tap in taps[first : first + 4])
+            v0, v1, v2, v3 = (np.take(flat, base + tap, axis=0) for tap in taps[lines[0]])
             preds[s, at] = w[0] * v0 + w[1] * v1 + w[2] * v2 + w[3] * v3
 
         all_lines = ok[0] & ok[1] & ok[2] & ok[3]  # slots 0-3 are the lines
@@ -165,7 +165,8 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
     candidates = holes
     fill_counts: list[int] = []
     while holes.size and len(fill_counts) < max_passes:
-        done = fill_round(candidates)
+        # With no known pixel no slot is available, so the round fills none.
+        done = fill_round(candidates) if holes.size < height * width else holes[:0]
         fill_counts.append(done.size)
         if done.size == 0:
             break
@@ -178,7 +179,9 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
         candidates = holes[near_filled[holes]]
         near_filled[candidates] = False
     rows, cols = np.divmod(holes, stride)
-    return fill_counts, padded[2:-2, 2:-2], rows - 2, cols - 2
+    rows -= 2
+    cols -= 2
+    return fill_counts, padded[2:-2, 2:-2], rows, cols
 
 
 def _box(table: np.ndarray, at: np.ndarray, corners: tuple[int, int, int, int]) -> np.ndarray:

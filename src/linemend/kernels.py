@@ -3,7 +3,7 @@
 A missing pixel is predicted from the 16 pixels that sit at signed
 offsets (-2, -1, +1, +2) along the four lines through it (horizontal,
 vertical, both diagonals). Each of the six predictor slots is a fixed
-weighting of four of them:
+weighting of the four pixels of one line:
 
 * four line slots, the exact cubic through one line's four samples
   evaluated at the missing center, and
@@ -40,17 +40,17 @@ LINE_CENTER_WEIGHTS = np.array([-1.0 / 6.0, 2.0 / 3.0, 2.0 / 3.0, -1.0 / 6.0])
 SURFACE_CENTER_WEIGHTS = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
 
 #: The six predictor slots, in the order their predictions are summed:
-#: (index into NEIGHBOR_OFFSETS of the first of the slot's four taps,
-#: the taps' weights, the directions whose lines must be complete).
-#: Slots 0-3 are the four lines; slots 4 and 5 are the vertical and the
-#: horizontal surface, each on its axis line but needing both diagonals.
+#: (the directions whose lines must be complete, the weights of the four
+#: taps of the first of those lines). Slots 0-3 are the four lines;
+#: slots 4 and 5 are the vertical and the horizontal surface, each
+#: weighing its axis line but needing both diagonals.
 SLOTS = (
-    (0, LINE_CENTER_WEIGHTS, (0,)),
-    (4, LINE_CENTER_WEIGHTS, (1,)),
-    (8, LINE_CENTER_WEIGHTS, (2,)),
-    (12, LINE_CENTER_WEIGHTS, (3,)),
-    (4, SURFACE_CENTER_WEIGHTS, (1, 2, 3)),
-    (0, SURFACE_CENTER_WEIGHTS, (0, 2, 3)),
+    ((0,), LINE_CENTER_WEIGHTS),
+    ((1,), LINE_CENTER_WEIGHTS),
+    ((2,), LINE_CENTER_WEIGHTS),
+    ((3,), LINE_CENTER_WEIGHTS),
+    ((1, 2, 3), SURFACE_CENTER_WEIGHTS),
+    ((0, 2, 3), SURFACE_CENTER_WEIGHTS),
 )
 
 

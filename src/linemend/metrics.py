@@ -20,8 +20,9 @@ from .raster import DimensionMismatch, Image, require_same_grid
 PEAK = 255.0
 _WINDOW = 11
 _SIGMA = 1.5
-_K1 = 0.01
-_K2 = 0.03
+# The SSIM stabilizers (K * PEAK)^2 with K1 = 0.01 and K2 = 0.03.
+_C1 = (0.01 * PEAK) ** 2
+_C2 = (0.03 * PEAK) ** 2
 
 
 def _require_comparable(reference: Image, test: Image) -> None:
@@ -86,10 +87,8 @@ def _ssim_map(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     var_x = _windowed_mean(x * x) - mu_x * mu_x
     var_y = _windowed_mean(y * y) - mu_y * mu_y
     cov = _windowed_mean(x * y) - mu_x * mu_y
-    c1 = (_K1 * PEAK) ** 2
-    c2 = (_K2 * PEAK) ** 2
-    return ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
-        (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+    return ((2.0 * mu_x * mu_y + _C1) * (2.0 * cov + _C2)) / (
+        (mu_x * mu_x + mu_y * mu_y + _C1) * (var_x + var_y + _C2)
     )
 
 

@@ -70,6 +70,13 @@ class Image:
         return self.data.shape[2]
 
 
+def _require_count(name: str, value, low: int) -> None:
+    """Raise ValueError unless ``value`` is an integer >= ``low``; a bool
+    is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _finite_image(data: np.ndarray) -> Image:
     """Wrap float64 (height, width, 1|3) samples that the library made
     finite itself, without the checks and scans of Image's construction."""

@@ -1,6 +1,7 @@
 """CLI contract tests (run in-process via main, and once as a module)."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -210,6 +211,17 @@ def test_sweep_rejects_empty_range(tmp_path, small_image, capsys):
 def test_run_sweep_rejects_unknown_mode():
     with pytest.raises(ValueError, match="unknown sweep mode 'diag'"):
         run_sweep(Image(np.zeros((8, 8))), "diag", 1, 2, 1)
+
+
+@pytest.mark.parametrize("arg, value", [
+    ("lo", True), ("lo", 1.0), ("hi", False), ("hi", 2.0), ("seeds", True), ("seeds", 1.5), ("seeds", "1"),
+])
+def test_run_sweep_rejects_non_integer_counts(arg, value):
+    # Unchecked, a bool would reach range() as 0 or 1 and a float would
+    # make it raise TypeError.
+    kwargs = {"lo": 1, "hi": 2, "seeds": 1, arg: value}
+    with pytest.raises(ValueError, match=re.escape(f"{arg} must be an integer, got {value!r}")):
+        run_sweep(Image(np.zeros((8, 8))), "width", **kwargs)
 
 
 def test_module_entry_point_help():

@@ -20,7 +20,9 @@ from linemend import (
     generate_line_mask,
     inpaint,
     inpaint_report,
+    psnr,
     run_pass,
+    ssim,
 )
 from linemend import engine
 from linemend.engine import _fallback_fill, _jacobi_rounds
@@ -543,6 +545,53 @@ def test_inpaint_fully_masked_gives_128():
     img = Image(np.full((12, 12), 55.0))
     out = inpaint(img, Mask(np.ones((12, 12), bool)))
     assert np.all(out.data == 128.0)
+
+
+def test_inpaint_fully_masked_runs_no_round():
+    # With no known pixel no slot is ever available, so the round of 0 is
+    # reported without being run. The 6.3 MB working copy, the hole list
+    # and its rows and columns peak near 13.1 MB; running the round's
+    # (4, holes) flag gather would take it to 19.1 MB.
+    image = Image(np.random.default_rng(9).uniform(0.0, 255.0, (512, 512, 3)))
+    mask = Mask(np.ones((512, 512), bool))
+    tracemalloc.start()
+    try:
+        report = inpaint_report(image, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.pass_fill_counts == (0,)
+    assert report.fallback_filled == 512 * 512
+    assert np.all(report.image.data == 128.0)
+    assert peak < 14e6
+
+
+@pytest.mark.parametrize("shape", [(40, 48), (40, 48, 3)])
+def test_array_layout_does_not_change_results(shape):
+    # The engine reads its own C-ordered copy as flat pixels, so inputs
+    # in Fortran order or with a negative stride give the same bytes.
+    rng = np.random.default_rng(17)
+    data = rng.uniform(0.0, 255.0, shape)
+    missing = rng.random(shape[:2]) < 0.2
+    missing[20:27] = True  # 7 rows deep: the fallback fills its middle
+
+    def layouts(a):
+        return [np.ascontiguousarray(a), np.asfortranarray(a), np.ascontiguousarray(a[:, ::-1])[:, ::-1]]
+
+    results = []
+    for values, degraded in zip(layouts(data), layouts(missing)):
+        assert np.array_equal(values, data) and np.array_equal(degraded, missing)
+        image, mask = Image(values), Mask(degraded)
+        report = inpaint_report(image, mask)
+        restored = report.image
+        new_values, filled = run_pass(values, degraded)
+        results.append((
+            restored.data.tobytes(), report.pass_fill_counts, report.fallback_filled,
+            new_values.tobytes(), filled.tobytes(), apply_mask(image, mask).data.tobytes(),
+            psnr(image, restored), ssim(image, restored),
+        ))
+    assert results[0][2] > 0
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 def test_inpaint_single_pixel_image():
