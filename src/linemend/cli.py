@@ -35,9 +35,10 @@ def run_sweep(image: Image, mode: str, lo: int, hi: int, seeds: int) -> list[Swe
 
     mode "lines" sweeps the defect-line count at width 1; mode "width"
     sweeps the line width with two lines. Records are ordered by
-    (param_value, seed). Raises ValueError on an unknown mode, a bool
-    or other non-integer ``lo``, ``hi`` or ``seeds``, fewer than one
-    seed or an empty range.
+    (param_value, seed). Raises ValueError, before the first cell runs,
+    on an unknown mode, a bool or other non-integer ``lo``, ``hi`` or
+    ``seeds``, fewer than one seed, an empty range or a largest value
+    whose mask ``generate_line_mask`` cannot draw on the image.
     """
     if mode not in ("lines", "width"):
         raise ValueError(f"unknown sweep mode {mode!r}")
@@ -48,14 +49,18 @@ def run_sweep(image: Image, mode: str, lo: int, hi: int, seeds: int) -> list[Swe
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     if lo > hi:
         raise ValueError(f"empty sweep range: min {lo} > max {hi}")
+
+    def spec(value: int, seed: int) -> LineSpec:
+        if mode == "lines":
+            return LineSpec(count=value, width=1, seed=seed)
+        return LineSpec(count=2, width=value, seed=seed)
+
+    # A range that cannot be drawn fails on its largest value.
+    generate_line_mask(image.width, image.height, spec(hi, 0))
     records = []
     for value in range(lo, hi + 1):
         for seed in range(seeds):
-            if mode == "lines":
-                spec = LineSpec(count=value, width=1, seed=seed)
-            else:
-                spec = LineSpec(count=2, width=value, seed=seed)
-            mask = generate_line_mask(image.width, image.height, spec)
+            mask = generate_line_mask(image.width, image.height, spec(value, seed))
             degraded = apply_mask(image, mask)
             restored = inpaint(degraded, mask)
             records.append(

@@ -5,7 +5,8 @@ the standard 11x11 Gaussian window (sigma 1.5), K1 = 0.01, K2 = 0.03,
 dynamic range 255, averaged over valid window positions; color images
 are scored on their luminance. The mean is still over all valid windows,
 but only the windows that touch a pixel where the two images differ are
-evaluated: every other window scores exactly 1.0.
+evaluated, a strip of 16 window rows and a slice of at most 64 pixel
+columns at a time: every other window scores exactly 1.0.
 """
 
 from __future__ import annotations
@@ -58,19 +59,12 @@ def _gaussian_window() -> np.ndarray:
 
 _GAUSS = _gaussian_window()
 
-# Window positions per tile of the dirty-window pass, down and across.
-# A tile's pixel patch is (16 + 10) x (22 + 10) = 26 x 32; a patch row
-# length that is a multiple of 8 keeps every vertical mean on the BLAS
-# kernel's main loop, which a whole-image pass (the tests' ssim_oracle)
-# uses for all columns of an image whose width is a multiple of 8, so
-# the two agree bit for bit.
-_TILE_H = 16
-_TILE_W = 22
-_PATCH_H = _TILE_H + _WINDOW - 1
-_PATCH_W = _TILE_W + _WINDOW - 1
-# Dirty tiles scored at once. Their temporaries take about 40 kB a tile,
-# so batches keep the pass's memory from growing with the mask.
-_TILE_BATCH = 64
+# Window rows per strip of the dirty-window pass, and the widest slice
+# it scores at once, in pixel columns (a multiple of 8, see ssim). A
+# longer run is scored a slice at a time, so the pass's memory does not
+# follow how far a line runs along a strip.
+_STRIP = 16
+_SPAN = 64
 
 
 def _windowed_mean(plane: np.ndarray) -> np.ndarray:
@@ -81,54 +75,14 @@ def _windowed_mean(plane: np.ndarray) -> np.ndarray:
 
 
 def _ssim_map(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-window SSIM over the last two axes of two luminance arrays."""
-    mu_x = _windowed_mean(x)
-    mu_y = _windowed_mean(y)
-    var_x = _windowed_mean(x * x) - mu_x * mu_x
-    var_y = _windowed_mean(y * y) - mu_y * mu_y
-    cov = _windowed_mean(x * y) - mu_x * mu_y
+    """Per-window SSIM of two 2-D luminance arrays."""
+    mu_x, mu_y, xx, yy, xy = _windowed_mean(np.stack([x, y, x * x, y * y, x * y]))
+    var_x = xx - mu_x * mu_x
+    var_y = yy - mu_y * mu_y
+    cov = xy - mu_x * mu_y
     return ((2.0 * mu_x * mu_y + _C1) * (2.0 * cov + _C2)) / (
         (mu_x * mu_x + mu_y * mu_y + _C1) * (var_x + var_y + _C2)
     )
-
-
-def _dirty_tiles(differs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tile indices (row, column) of the tiles whose pixel patch holds a
-    True of ``differs``, in row-major order.
-
-    Tile (i, j) covers window positions [16i, 16i+16) x [22j, 22j+22),
-    hence pixels [16i, 16i+26) x [22j, 22j+32): one whole block of the
-    tile grid plus the first 10 pixels of the next block, on each axis.
-    """
-    height, width = differs.shape
-    n_rows = -(-(height - _WINDOW + 1) // _TILE_H)
-    n_cols = -(-(width - _WINDOW + 1) // _TILE_W)
-    padded = np.zeros(((n_rows + 1) * _TILE_H, (n_cols + 1) * _TILE_W), dtype=bool)
-    padded[:height, :width] = differs
-    blocks = padded.reshape(n_rows + 1, _TILE_H, -1)
-    rows = blocks.any(axis=1)[:-1] | blocks[1:, : _WINDOW - 1].any(axis=1)
-    blocks = rows.reshape(n_rows, n_cols + 1, _TILE_W)
-    tiles = blocks.any(axis=2)[:, :-1] | blocks[:, 1:, : _WINDOW - 1].any(axis=2)
-    return np.nonzero(tiles)
-
-
-def _score_tiles(
-    grid: np.ndarray, ref: np.ndarray, tst: np.ndarray, tile_r: np.ndarray, tile_c: np.ndarray
-) -> None:
-    """Write the SSIM of every valid window of the given tiles into
-    ``grid``; the temporaries are freed on return."""
-    height, width = ref.shape[:2]
-    grid_h, grid_w = grid.shape
-    # Indices past the image edge are clamped; they reach only windows
-    # past the valid grid, which are dropped below.
-    pr = np.minimum(_TILE_H * tile_r[:, None] + np.arange(_PATCH_H), height - 1)
-    pc = np.minimum(_TILE_W * tile_c[:, None] + np.arange(_PATCH_W), width - 1)
-    at = (pr[:, :, None], pc[:, None, :])
-    scores = _ssim_map(_luminance(ref[at]), _luminance(tst[at]))
-    wr = _TILE_H * tile_r[:, None, None] + np.arange(_TILE_H)[:, None]
-    wc = _TILE_W * tile_c[:, None, None] + np.arange(_TILE_W)
-    keep = (wr < grid_h) & (wc < grid_w)
-    grid.reshape(-1)[(wr * grid_w + wc)[keep]] = scores[keep]
 
 
 def ssim(reference: Image, test: Image) -> float:
@@ -136,12 +90,17 @@ def ssim(reference: Image, test: Image) -> float:
 
     A window whose pixels agree in both images scores exactly 1.0, since
     the numerator and denominator of its score are then the same float
-    expression. Only the tiles of windows that touch a differing pixel
-    are therefore evaluated, _TILE_BATCH tiles at a time, and every other
-    window enters the mean as 1.0. Memory is the grid of window scores
-    plus one batch of tiles, whatever the difference; a difference that
-    touches nearly every tile costs up to about 1.7x a whole-image pass,
-    since neighbouring patches overlap.
+    expression. The window grid is therefore walked in strips of 16
+    window rows. In each strip, every run of adjacent windows that touch
+    a differing pixel is scored on slices of both images, and every
+    other window enters the mean as 1.0. A slice is as wide as the run's
+    pixel columns rounded up to a multiple of 8, at most 64 pixels and at
+    most the image width; a longer run takes several slices. Its vertical
+    means then stay on the BLAS kernel's main loop, as a whole-image pass
+    (the tests' ssim_oracle) runs them for every column of an image whose
+    width is a multiple of 8, so the two agree bit for bit. Memory is the
+    grid of window scores plus one slice of at most 64 pixel columns,
+    whatever the difference.
     """
     _require_comparable(reference, test)
     height, width = reference.height, reference.width
@@ -150,9 +109,25 @@ def ssim(reference: Image, test: Image) -> float:
             f"image {width}x{height} smaller than the {_WINDOW}x{_WINDOW} window"
         )
     ref, tst = reference.data, test.data
-    tile_r, tile_c = _dirty_tiles((ref != tst).any(axis=2))
+    differs = (ref != tst).any(axis=2)
     grid = np.ones((height - _WINDOW + 1, width - _WINDOW + 1))
-    for first in range(0, tile_r.size, _TILE_BATCH):
-        _score_tiles(grid, ref, tst, tile_r[first : first + _TILE_BATCH], tile_c[first : first + _TILE_BATCH])
+    for top in range(0, height - _WINDOW + 1, _STRIP):
+        rows = slice(top, top + _STRIP + _WINDOW - 1)
+        # Window columns whose footprint in the strip holds a differing
+        # pixel, and the edges of their runs.
+        dirty = np.convolve(differs[rows].any(axis=0), np.ones(_WINDOW), "valid") > 0
+        edges = np.flatnonzero(np.diff(np.concatenate(([False], dirty, [False]))))
+        for first, stop in zip(edges[::2].tolist(), edges[1::2].tolist()):
+            while first < stop:
+                # The pixel columns [first, stop + 10) of the run's
+                # windows not yet scored, widened to a multiple of 8, cut
+                # at _SPAN and moved left where they would pass the right
+                # edge.
+                span = min(-(-(stop - first + _WINDOW - 1) // 8) * 8, _SPAN, width)
+                left = min(first, width - span)
+                cols = slice(left, left + span)
+                grid[top : top + _STRIP, left : left + span - _WINDOW + 1] = _ssim_map(
+                    _luminance(ref[rows, cols]), _luminance(tst[rows, cols])
+                )
+                first = left + span - _WINDOW + 1
     return float(grid.mean())
-

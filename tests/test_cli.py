@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -222,6 +223,15 @@ def test_run_sweep_rejects_non_integer_counts(arg, value):
     kwargs = {"lo": 1, "hi": 2, "seeds": 1, arg: value}
     with pytest.raises(ValueError, match=re.escape(f"{arg} must be an integer, got {value!r}")):
         run_sweep(Image(np.zeros((8, 8))), "width", **kwargs)
+
+
+def test_run_sweep_fails_before_its_first_cell_when_the_range_cannot_be_drawn():
+    # Widths 13-15 cannot be drawn on 48x48; the 36 cells of widths 1-12
+    # would otherwise run first.
+    image = natural_image(48, 48, seed=3)
+    with mock.patch("linemend.cli.inpaint", side_effect=AssertionError("a sweep cell ran")):
+        with pytest.raises(ValueError, match=re.escape("line width 15 too large for 48x48 (limit 12)")):
+            run_sweep(image, "width", 1, 15, 3)
 
 
 def test_module_entry_point_help():

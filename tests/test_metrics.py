@@ -147,7 +147,7 @@ def image_pairs(draw):
     """A random image and a copy that differs under a random mask, from
     empty (or a few pixels) to full, optionally also along the last row
     and column."""
-    # Up to 160: several tiles on each axis, yet quick to score 150 times.
+    # Up to 160: several strips and runs, yet quick to score 150 times.
     height = draw(st.integers(11, 160))
     width = draw(st.integers(11, 160))
     channels = draw(st.sampled_from([1, 3]))
@@ -178,7 +178,7 @@ def test_ssim_matches_whole_image_oracle(pair):
 
 
 def test_ssim_unrelated_images_equal_oracle():
-    # Every window differs, so every tile is dirty and scored.
+    # Every window differs, so each strip is one run across the image.
     rng = np.random.default_rng(30)
     a = Image(rng.uniform(0.0, 255.0, (96, 120, 3)))
     b = Image(rng.uniform(0.0, 255.0, (96, 120, 3)))
@@ -194,27 +194,99 @@ def test_ssim_width_sweep_cells_equal_oracle(natural512):
 
 
 def test_ssim_line_count_cells_equal_oracle(natural512):
-    # 345-394 dirty tiles each: more patch pixels than the image holds.
+    # 166-187 slices each, which hold 73-87% of the image's pixels.
     for count, seed in ((8, 1), (9, 1), (10, 0), (10, 1)):
         mask = generate_line_mask(512, 512, LineSpec(count=count, width=1, seed=seed))
         restored = inpaint(apply_mask(natural512, mask), mask)
         assert ssim(natural512, restored) == ssim_oracle(natural512, restored), (count, seed)
 
 
-def test_ssim_tile_batches_agree(natural512):
+def test_ssim_width9_and_shifted_pairs_equal_oracle(natural512):
     mask = generate_line_mask(512, 512, LineSpec(count=2, width=9, seed=3))
     restored = inpaint(apply_mask(natural512, mask), mask)
-    # The second pair differs everywhere, so all 736 tiles are dirty.
+    # The second pair differs everywhere, so every strip is one run of
+    # all 502 window columns.
     for test in (restored, Image(natural512.data + 1.0)):
-        want = ssim(natural512, test)
-        for batch in (1, 7):
-            with mock.patch.object(metrics, "_TILE_BATCH", batch):
-                assert ssim(natural512, test) == want, batch
+        assert ssim(natural512, test) == ssim_oracle(natural512, test)
+
+
+def _pair_differing_at(height, width, pixels, seed=40):
+    rng = np.random.default_rng(seed)
+    reference = np.floor(rng.uniform(0.0, 256.0, (height, width)))
+    test = reference.copy()
+    for r, c in pixels:
+        test[r, c] = 255.0 - test[r, c]
+    return Image(reference), Image(test)
+
+
+@pytest.mark.parametrize("height, width, pixels", [
+    # Window column 53, the last of 54: the run's 16-pixel slice moves
+    # left to end at the right edge.
+    (40, 64, [(20, 63)]),
+    # Window columns 0-5 and 60-70 of one strip: two runs, two slices.
+    (40, 96, [(3, 5), (3, 70)]),
+    # Window column 0 alone: a slice at column 0, widened to 16 pixels.
+    (40, 64, [(30, 0)]),
+    # 35 window rows: the last strip holds 3 of them.
+    (45, 64, [(44, 30), (2, 40)]),
+    # A differing row: in each of its two strips one run of all 190
+    # window columns, scored as three 64-pixel slices and a 40-pixel one
+    # moved left to end at the right edge.
+    (40, 200, [(20, c) for c in range(200)]),
+])
+def test_ssim_strip_runs_equal_oracle(height, width, pixels):
+    reference, test = _pair_differing_at(height, width, pixels)
+    with mock.patch.object(metrics, "_ssim_map", wraps=metrics._ssim_map) as scored:
+        assert ssim(reference, test) == ssim_oracle(reference, test)
+    # A last-bit difference in one window is lost in the mean; slices a
+    # multiple of 8 pixels wide match the oracle window for window.
+    widths = [call.args[0].shape[1] for call in scored.call_args_list]
+    assert widths and all(w % 8 == 0 and w <= 64 for w in widths), widths
+
+
+@pytest.mark.parametrize("width", range(11, 16))
+def test_ssim_slice_capped_at_a_narrow_image(width):
+    # Any run's slice rounds up to at least 16 pixels, more than the image
+    # holds, so it is capped at the image width.
+    reference, test = _pair_differing_at(40, width, [(5, 0), (30, width - 1)])
+    assert abs(ssim(reference, test) - ssim_oracle(reference, test)) <= 1e-12
+
+
+def test_ssim_memory_does_not_follow_run_length(natural512):
+    # A row of changed pixels makes runs of all 502 window columns, a
+    # column makes runs of 11; a slice of the whole row would add about
+    # 1.1 MB.
+    peaks = []
+    for at in ((256, slice(None)), (slice(None), 256)):
+        data = natural512.data.copy()
+        data[at] += 1.0
+        tracemalloc.start()
+        try:
+            ssim(natural512, Image(data))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[0] - peaks[1]) < 2e5, peaks
+
+
+def test_ssim_peak_memory_on_a_wide_line_cell(natural512):
+    mask = generate_line_mask(512, 512, LineSpec(count=2, width=15, seed=0))
+    restored = inpaint(apply_mask(natural512, mask), mask)
+    tracemalloc.start()
+    try:
+        ssim(natural512, restored)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The grid of window scores takes 2.0 MB; the rest is the difference
+    # mask and one slice.
+    assert peak < 4.0e6, peak
 
 
 def test_ssim_memory_does_not_follow_dirty_tiles(natural512):
-    # 150, 237 and 329 dirty tiles, then all 736, scored in batches of
-    # about 40 kB a tile: every call peaks alike.
+    # 21, 54 and 81 runs, then one run per strip across the whole image:
+    # memory is the score grid plus one slice of at most 64 pixels, so
+    # every call peaks alike.
     changed = []
     for count in (4, 6, 10):
         mask = generate_line_mask(512, 512, LineSpec(count=count, width=1, seed=4))
