@@ -1,26 +1,31 @@
 """Multi-pass restoration engine for mask-marked defects.
 
 Filling proceeds in Jacobi rounds: every still-missing pixel is
-predicted from the previous round's state only, and a round is committed
-in place only after all of its predictions are made. Results are
-therefore independent of pixel visitation order. Every round runs on the
-calling thread; the ``workers`` argument of the public functions is
-accepted and has no effect. Since a hole's predictors depend only on
-which of its 16 line pixels are missing, a round after the first
-re-predicts only the holes whose stencil the round before changed; the
-rest are still unfillable. Pixels that never acquire a complete
-predictor line (deep hole interiors) are finished by the mean of the
-known pixels in a growing window of at most 21 x 21: the box means of a
-whole-image summed-area table, made only at the rows next to a hole
-row and a bounded block of those rows at a time. Every committed value
-is clamped to [0, 255].
+predicted from the previous round's state only. A round reads only
+pixels that were known before it and writes only its holes, so results
+are independent of pixel visitation order. It predicts its candidate
+holes in chunks of at most _ROUND_CHUNK and commits each chunk in place
+before the next, so a round's memory is one chunk's temporaries plus
+the list of the holes it filled, whatever its hole count. Every round
+runs on the calling thread; the ``workers`` argument of the public
+functions is accepted and has no effect. Since a hole's predictors
+depend only on which of its 16 line pixels are missing, a round after
+the first re-predicts only the holes whose stencil the round before
+changed; the rest are still unfillable. Pixels that never acquire a
+complete predictor line (deep hole interiors) are finished by the mean
+of the known pixels in a growing window of at most 21 x 21: the box
+means of a whole-image summed-area table, made only at the rows next to
+a hole row and a bounded block of those rows at a time. An image with
+no known pixel is filled with 128 at once, with no round run. Every
+committed value is clamped to [0, 255].
 
 Per missing pixel and channel, the predictions of the available slots
 of kernels.SLOTS are averaged: four directional line predictions and
 two surface predictions. A slot weighs the four pixels of the first
 line it names, and is available when every line it names has all four
-pixels known; a slot is gathered and predicted only where it is
-available, so every tap read is a known pixel inside the image.
+pixels known. Each line's four pixels are gathered once, only where
+the line is complete, and feed both its line slot and the surface slot
+that weighs it, so every tap read is a known pixel inside the image.
 When all four line predictions exist, the one most deviant from their
 mean is first replaced by the mean of the other three. Missing-ness is
 read from a copy of the mask padded by 2 on every side whose border
@@ -70,6 +75,9 @@ _FALLBACK_REACH = 10
 # Bytes of summed-area rows in one block of the fallback's walk down the
 # rows next to the holes; a block also holds at least 2 * reach + 1 rows.
 _FALLBACK_BLOCK_BYTES = 1 << 19
+# Candidate holes per chunk of a fill round, so that a round's
+# temporaries do not grow with its hole count.
+_ROUND_CHUNK = 8192
 
 
 def run_pass(values: np.ndarray, missing: np.ndarray, config: EngineConfig | None = None, workers: int = 1):
@@ -111,17 +119,23 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
     become fillable only once one of those pixels is filled. Each round
     after the first therefore re-predicts just the remaining holes next
     to a pixel that the round before filled; when there are none, the
-    round fills 0 and ends the loop. When no pixel is known, the first
-    round is not run: it is reported as filling 0. The holes are kept as
-    a compacted list of flat indices into the padded missing set.
+    round fills 0 and ends the loop. The holes are kept as a compacted
+    list of flat indices into the padded missing set.
 
-    A round reads each line's four missing flags at every candidate with
-    one (4, candidates) gather, and gathers and predicts each slot only
-    where it is available, so every tap read is a known pixel; a tap is
-    one ``np.take`` of whole pixels along a 1-D index. The outlier step
-    rewrites the most deviant line prediction with one ``np.where`` over
-    all four. The fillable holes are committed into ``values``, clamped
-    to [0, 255], only after every gather is made.
+    A round predicts its candidate holes in consecutive chunks of at most
+    _ROUND_CHUNK and commits each chunk into ``values``, clamped to
+    [0, 255], before the next. That is still one Jacobi round: a round
+    reads only pixels that were known before it, since the missing flags
+    change only between rounds, and writes only its holes. Its memory is
+    one chunk's temporaries plus the holes it filled, whatever the hole
+    count. In a chunk, one gather of the 16 missing flags gives each
+    line's completeness, and two ANDs give the surfaces'. Each line's
+    four taps are then read once, by one ``np.take`` of whole pixels over
+    a (4, holes) index at the holes where that line is complete, so every
+    tap read is a known pixel. Those taps feed the line's slot and, for
+    lines 1 and 0, the surface slot 4 or 5 that weighs them. The outlier
+    step rewrites the most deviant line prediction with one ``np.where``
+    over all four.
     """
     height, width, channels = values.shape
     stride = width + 4
@@ -131,42 +145,58 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
     padded[:2] = padded[-2:] = padded[:, :2] = padded[:, -2:] = True
     missing_at = padded.ravel()
     near_filled = np.zeros_like(missing_at)
-    offsets = np.array([dr * stride + dc for dr, dc in NEIGHBOR_OFFSETS]).reshape(4, 4)  # a row per line
-    taps = np.array([dr * width + dc for dr, dc in NEIGHBOR_OFFSETS]).reshape(4, 4)  # a row per line
+    offsets = np.array([dr * stride + dc for dr, dc in NEIGHBOR_OFFSETS]).reshape(4, 4, 1)  # a row per line
+    taps = np.array([dr * width + dc for dr, dc in NEIGHBOR_OFFSETS]).reshape(4, 4, 1)  # a row per line
+    # Slots 0-3 weigh their own line; surface slot 5 - d weighs line d < 2.
+    line_weights = SLOTS[0][1][:, None, None]
+    surface_weights = SLOTS[4][1][:, None, None]
     flat = values.reshape(-1, channels)
 
-    # A function, so that a round's arrays are freed when it returns,
-    # before the bookkeeping and the next round run.
-    def fill_round(candidates: np.ndarray) -> np.ndarray:
-        gaps = [missing_at[line[:, None] + candidates].any(axis=0) for line in offsets]
-        ok = ~np.array([np.logical_or.reduce([gaps[d] for d in lines]) for lines, _ in SLOTS])
+    # A function, so that a chunk's arrays are freed when it returns,
+    # before the next chunk, the bookkeeping and the next round run.
+    def fill_chunk(chunk: np.ndarray) -> np.ndarray:
+        complete = ~missing_at[offsets + chunk].any(axis=1)  # (4 lines, chunk)
+        ok = np.empty((len(SLOTS), chunk.size), dtype=bool)
+        ok[:4] = complete
+        # Surface slots 4 and 5 need line 1 or 0 and both diagonals.
+        np.logical_and(complete[1::-1], complete[2] & complete[3], out=ok[4:])
         fillable = ok.any(axis=0)
-        ok = ok[:, fillable]
-        rows, cols = np.divmod(candidates[fillable], stride)
+        ok = np.compress(fillable, ok, axis=1)
+        filled = chunk[fillable]
+        rows, cols = np.divmod(filled, stride)
         cells = (rows - 2) * width + (cols - 2)
 
+        # A sum over axis 0 adds the weighted taps in the order of
+        # w0*v0 + w1*v1 + w2*v2 + w3*v3, only starting from +0. That can
+        # turn a -0 prediction into +0, as the slot sum below, also
+        # started from +0, does anyway.
         preds = np.zeros((len(SLOTS), cells.size, channels), dtype=np.float64)
-        for s, (lines, w) in enumerate(SLOTS):
-            at = np.flatnonzero(ok[s])
-            base = cells[at]
-            v0, v1, v2, v3 = (np.take(flat, base + tap, axis=0) for tap in taps[lines[0]])
-            preds[s, at] = w[0] * v0 + w[1] * v1 + w[2] * v2 + w[3] * v3
+        for d in range(4):
+            at = np.flatnonzero(ok[d])
+            v = np.take(flat, taps[d] + cells[at], axis=0)
+            if d < 2:
+                on = ok[5 - d, at]
+                surface = np.compress(on, v, axis=1)
+                surface *= surface_weights
+                preds[5 - d, at[on]] = surface.sum(axis=0)
+            v *= line_weights
+            preds[d, at] = v.sum(axis=0)
 
         all_lines = ok[0] & ok[1] & ok[2] & ok[3]  # slots 0-3 are the lines
-        lines = preds[:4, all_lines]
+        lines = np.compress(all_lines, preds[:4], axis=1)
         mean = (lines[0] + lines[1] + lines[2] + lines[3]) * 0.25
         worst = np.abs(lines - mean).argmax(axis=0)  # first index wins ties
         preds[:4, all_lines] = np.where(np.arange(4)[:, None, None] == worst, (4.0 * mean - lines) / 3.0, lines)
 
-        # preds is zero where a slot is not available.
-        flat[cells] = np.clip(preds.sum(axis=0) / ok.sum(axis=0)[:, None], 0.0, 255.0)
-        return candidates[fillable]
+        # preds is zero where a slot is not available; at most 6 are.
+        flat[cells] = np.clip(preds.sum(axis=0) / ok.sum(axis=0, dtype=np.uint8)[:, None], 0.0, 255.0)
+        return filled
 
     candidates = holes
     fill_counts: list[int] = []
     while holes.size and len(fill_counts) < max_passes:
-        # With no known pixel no slot is available, so the round fills none.
-        done = fill_round(candidates) if holes.size < height * width else holes[:0]
+        chunks = range(0, candidates.size, _ROUND_CHUNK)
+        done = np.concatenate([candidates[:0]] + [fill_chunk(candidates[i : i + _ROUND_CHUNK]) for i in chunks])
         fill_counts.append(done.size)
         if done.size == 0:
             break
@@ -219,9 +249,6 @@ def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, co
     if rows.size == 0:
         return 0
     height, width, channels = values.shape
-    if rows.size == height * width:  # no known pixel
-        values.fill(128.0)
-        return rows.size
     reach = _FALLBACK_REACH
     carry = 2 * reach + 1
     right = min(int(cols.max()) + 2, width)
@@ -311,11 +338,19 @@ def inpaint_report(image: Image, mask: Mask, config: EngineConfig | None = None,
     """Restore every masked pixel and report pass/fill statistics.
 
     Channels are processed independently against the shared mask;
-    unmasked pixels are returned bit-identical to the input. ``workers``
-    is accepted and has no effect: every round runs on the calling thread.
+    unmasked pixels are returned bit-identical to the input. A fully
+    masked image reports one round of 0 and every pixel as filled by the
+    fallback, with 128. ``workers`` is accepted and has no effect: every
+    round runs on the calling thread.
     """
     config = config or EngineConfig()
     require_same_grid(image, mask)
+    if mask.degraded.all():
+        # No pixel is known: no slot is ever available and no window
+        # holds a known pixel, so the one round fills none and the
+        # fallback gives every pixel 128.
+        data = np.full(image.data.shape, 128.0)
+        return InpaintReport(image=_finite_image(data), pass_fill_counts=(0,), fallback_filled=mask.degraded.size)
     values = image.data.copy()
     fill_counts, missing, rows, cols = _jacobi_rounds(values, mask.degraded, config.max_passes)
     fallback_count = _fallback_fill(values, missing, rows, cols)

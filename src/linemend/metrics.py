@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .raster import DimensionMismatch, Image, require_same_grid
 
@@ -70,8 +70,13 @@ _SPAN = 64
 def _windowed_mean(plane: np.ndarray) -> np.ndarray:
     # Separable Gaussian-weighted mean at every fully interior (valid)
     # window position of the last two axes: (..., h, w) -> (..., h-10, w-10).
-    v = sliding_window_view(plane, _WINDOW, axis=-2) @ _GAUSS
-    return sliding_window_view(v, _WINDOW, axis=-1) @ _GAUSS
+    # The window views have the shape and strides that sliding_window_view
+    # gives them, which keeps the BLAS call, without its argument checks.
+    *lead, height, width = plane.shape
+    down = (*lead, height - _WINDOW + 1, width, _WINDOW)
+    v = as_strided(plane, down, (*plane.strides, plane.strides[-2]), writeable=False) @ _GAUSS
+    across = (*lead, height - _WINDOW + 1, width - _WINDOW + 1, _WINDOW)
+    return as_strided(v, across, (*v.strides, v.strides[-1]), writeable=False) @ _GAUSS
 
 
 def _ssim_map(x: np.ndarray, y: np.ndarray) -> np.ndarray:

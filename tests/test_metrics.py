@@ -301,3 +301,19 @@ def test_ssim_memory_does_not_follow_dirty_tiles(natural512):
         finally:
             tracemalloc.stop()
     assert all(abs(peak - peaks[0]) < 1e5 for peak in peaks[1:]), peaks
+
+
+def _windowed_mean_by_views(plane):
+    v = sliding_window_view(plane, 11, axis=-2) @ metrics._GAUSS
+    return sliding_window_view(v, 11, axis=-1) @ metrics._GAUSS
+
+
+@pytest.mark.parametrize("shape", [(5, 26, 64), (5, 26, 32), (5, 26, 24), (5, 11, 11), (5, 13, 19), (512, 512), (5, 64, 512)])
+def test_windowed_mean_matches_sliding_window_views(shape):
+    # The strided views must hand BLAS the same operands as
+    # sliding_window_view, so the means agree byte for byte.
+    plane = np.random.default_rng(len(shape) + shape[-1]).uniform(0.0, 255.0, shape)
+    got = metrics._windowed_mean(plane)
+    want = _windowed_mean_by_views(plane)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
