@@ -91,5 +91,5 @@ def apply_mask(image: Image, mask: Mask) -> Image:
     """Set the masked pixels of every channel to 0."""
     require_same_grid(image, mask)
     data = image.data.copy()
-    data[mask.degraded] = 0.0
+    data.reshape(-1, image.channels)[np.flatnonzero(mask.degraded)] = 0.0
     return _finite_image(data)

@@ -9,9 +9,11 @@ before the next, so a round's memory is one chunk's temporaries plus
 the list of the holes it filled, whatever its hole count. Every round
 runs on the calling thread; the ``workers`` argument of the public
 functions is accepted and has no effect. Since a hole's predictors
-depend only on which of its 16 line pixels are missing, a round after
-the first re-predicts only the holes whose stencil the round before
-changed; the rest are still unfillable. Pixels that never acquire a
+depend only on which of its 16 line pixels are missing, a hole whose
+stencil the round before left unchanged is still unfillable. A round
+after the first therefore re-predicts every remaining hole when the
+round before filled at least as many as remain, and otherwise only the
+holes whose stencil that round changed. Pixels that never acquire a
 complete predictor line (deep hole interiors) are finished by the mean
 of the known pixels in a growing window of at most 21 x 21: the box
 means of a whole-image summed-area table, made only at the rows next to
@@ -77,7 +79,7 @@ _FALLBACK_REACH = 10
 _FALLBACK_BLOCK_BYTES = 1 << 19
 # Candidate holes per chunk of a fill round, so that a round's
 # temporaries do not grow with its hole count.
-_ROUND_CHUNK = 8192
+_ROUND_CHUNK = 4096
 
 
 def run_pass(values: np.ndarray, missing: np.ndarray, config: EngineConfig | None = None, workers: int = 1):
@@ -116,14 +118,19 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
     row and column indices of its pixels in row-major order). A hole's
     slot availability depends only on the missing state of its 16
     NEIGHBOR_OFFSETS pixels, so a hole that a round left unfilled can
-    become fillable only once one of those pixels is filled. Each round
-    after the first therefore re-predicts just the remaining holes next
-    to a pixel that the round before filled; when there are none, the
-    round fills 0 and ends the loop. The holes are kept as a compacted
-    list of flat indices into the padded missing set.
+    become fillable only once one of those pixels is filled, and
+    re-predicting it before then fills nothing. Each round after the
+    first picks its candidates from the yield of the round before. When
+    that round filled at least as many holes as remain, it re-checks
+    every remaining hole. Otherwise it flags the 16 stencil neighbours of
+    each filled hole in a padded grid, made in the first round that needs
+    it, and re-predicts just the remaining holes that are flagged; when
+    there are none, the round fills 0 and ends the loop. Either way the
+    bytes are the same. The holes are kept as a compacted list of flat
+    indices into the padded missing set.
 
     A round predicts its candidate holes in consecutive chunks of at most
-    _ROUND_CHUNK and commits each chunk into ``values``, clamped to
+    _ROUND_CHUNK (4096) and commits each chunk into ``values``, clamped to
     [0, 255], before the next. That is still one Jacobi round: a round
     reads only pixels that were known before it, since the missing flags
     change only between rounds, and writes only its holes. Its memory is
@@ -144,7 +151,6 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
     holes = np.flatnonzero(padded)
     padded[:2] = padded[-2:] = padded[:, :2] = padded[:, -2:] = True
     missing_at = padded.ravel()
-    near_filled = np.zeros_like(missing_at)
     offsets = np.array([dr * stride + dc for dr, dc in NEIGHBOR_OFFSETS]).reshape(4, 4, 1)  # a row per line
     taps = np.array([dr * width + dc for dr, dc in NEIGHBOR_OFFSETS]).reshape(4, 4, 1)  # a row per line
     # Slots 0-3 weigh their own line; surface slot 5 - d weighs line d < 2.
@@ -193,6 +199,7 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
         return filled
 
     candidates = holes
+    near_filled = None
     fill_counts: list[int] = []
     while holes.size and len(fill_counts) < max_passes:
         chunks = range(0, candidates.size, _ROUND_CHUNK)
@@ -202,6 +209,14 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
             break
         missing_at[done] = False
         holes = holes[missing_at[holes]]
+        if done.size >= holes.size:
+            # Re-checking every remaining hole costs less than 16 flag
+            # writes per filled hole, and a hole whose stencil the round
+            # did not change fills nothing.
+            candidates = holes
+            continue
+        if near_filled is None:
+            near_filled = np.zeros_like(missing_at)
         for off in offsets.flat:
             near_filled[done - off] = True
         # Only flags at remaining holes are ever read, so clearing
