@@ -124,7 +124,8 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
     that round filled at least as many holes as remain, it re-checks
     every remaining hole. Otherwise it flags the 16 stencil neighbours of
     each filled hole in a padded grid, made in the first round that needs
-    it, and re-predicts just the remaining holes that are flagged; when
+    it, by one assignment per slice of at most _ROUND_CHUNK filled holes,
+    and re-predicts just the remaining holes that are flagged; when
     there are none, the round fills 0 and ends the loop. Either way the
     bytes are the same. The holes are kept as a compacted list of flat
     indices into the padded missing set.
@@ -142,7 +143,8 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
     tap read is a known pixel. Those taps feed the line's slot and, for
     lines 1 and 0, the surface slot 4 or 5 that weighs them. The outlier
     step rewrites the most deviant line prediction with one ``np.where``
-    over all four.
+    over all four. It runs only in a chunk that has a hole with all four
+    lines complete, the only holes it can change.
     """
     height, width, channels = values.shape
     stride = width + 4
@@ -156,6 +158,7 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
     # Slots 0-3 weigh their own line; surface slot 5 - d weighs line d < 2.
     line_weights = SLOTS[0][1][:, None, None]
     surface_weights = SLOTS[4][1][:, None, None]
+    line_index = np.arange(4)[:, None, None]
     flat = values.reshape(-1, channels)
 
     # A function, so that a chunk's arrays are freed when it returns,
@@ -189,10 +192,11 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
             preds[d, at] = v.sum(axis=0)
 
         all_lines = ok[0] & ok[1] & ok[2] & ok[3]  # slots 0-3 are the lines
-        lines = np.compress(all_lines, preds[:4], axis=1)
-        mean = (lines[0] + lines[1] + lines[2] + lines[3]) * 0.25
-        worst = np.abs(lines - mean).argmax(axis=0)  # first index wins ties
-        preds[:4, all_lines] = np.where(np.arange(4)[:, None, None] == worst, (4.0 * mean - lines) / 3.0, lines)
+        if all_lines.any():
+            lines = np.compress(all_lines, preds[:4], axis=1)
+            mean = (lines[0] + lines[1] + lines[2] + lines[3]) * 0.25
+            worst = np.abs(lines - mean).argmax(axis=0)  # first index wins ties
+            preds[:4, all_lines] = np.where(line_index == worst, (4.0 * mean - lines) / 3.0, lines)
 
         # preds is zero where a slot is not available; at most 6 are.
         flat[cells] = np.clip(preds.sum(axis=0) / ok.sum(axis=0, dtype=np.uint8)[:, None], 0.0, 255.0)
@@ -217,8 +221,9 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
             continue
         if near_filled is None:
             near_filled = np.zeros_like(missing_at)
-        for off in offsets.flat:
-            near_filled[done - off] = True
+        # A (16, slice) index is no larger than a chunk's offsets + chunk.
+        for i in range(0, done.size, _ROUND_CHUNK):
+            near_filled[done[i : i + _ROUND_CHUNK] - offsets.reshape(16, 1)] = True
         # Only flags at remaining holes are ever read, so clearing
         # those is enough; flags left on known pixels are never seen.
         candidates = holes[near_filled[holes]]

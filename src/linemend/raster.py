@@ -173,21 +173,33 @@ def load_pnm(path: str | os.PathLike) -> Image:
     return Image(_read_pnm(path))
 
 
+# Bytes of float64 samples in one block of save_pnm's rows, small enough
+# that its range check and its quantization read it from cache.
+_SAVE_BLOCK_BYTES = 1 << 18
+
+
 def save_pnm(image: Image, path: str | os.PathLike) -> None:
     """Write a binary P5/P6 file, rounding samples half-up to integers.
 
-    Requires all samples in [0, 255]; round-tripping an integer-valued
-    image through save/load reproduces it exactly.
+    Requires all samples in [0, 255] (ValueError otherwise, naming the
+    image's min and max); round-tripping an integer-valued image through
+    save/load reproduces it exactly. The samples are read once, a block
+    of rows at a time that is range-checked and then quantized, and
+    nothing is written unless every sample is in range.
     """
     data = image.data
-    if data.min() < 0.0 or data.max() > 255.0:
-        raise ValueError(
-            f"samples outside [0, 255] (min {data.min():g}, max {data.max():g}); clamp before saving"
-        )
-    # data + 0.5 lies in [0.5, 255.5], where the truncating cast is floor;
-    # the sum is cast as it is made, without a float copy of the image.
+    height, width, channels = data.shape
+    rows = max(_SAVE_BLOCK_BYTES // (width * channels * data.itemsize), 1)
     quantized = np.empty(data.shape, dtype=np.uint8)
-    np.add(data, 0.5, out=quantized, casting="unsafe")
+    for start in range(0, height, rows):
+        block = data[start : start + rows]
+        if block.min() < 0.0 or block.max() > 255.0:
+            raise ValueError(
+                f"samples outside [0, 255] (min {data.min():g}, max {data.max():g}); clamp before saving"
+            )
+        # block + 0.5 lies in [0.5, 255.5], where the truncating cast is
+        # floor; the sum is cast as it is made, without a float copy.
+        np.add(block, 0.5, out=quantized[start : start + rows], casting="unsafe")
     _write_pnm(quantized, path)
 
 

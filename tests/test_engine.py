@@ -235,12 +235,17 @@ def test_fill_round_reads_only_known_pixels():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_chunked_rounds_match_one_chunk(height, width, channels, density, seed):
-    # A round reads only pixels known before it, so committing each chunk
-    # before the next changes neither a value's bytes nor the round it is
-    # filled in, whatever the chunk size.
     rng = np.random.default_rng(seed)
     missing = rng.random((height, width)) < density
     values = rng.uniform(0.0, 255.0, (height, width, channels))
+    assert_chunk_size_is_invisible(values, missing)
+
+
+def assert_chunk_size_is_invisible(values, missing):
+    """A round reads only pixels known before it, so committing each chunk
+    before the next changes neither a value's bytes nor the round it is
+    filled in, whatever the chunk size; nor does the number of slices its
+    near-fill flags are set in."""
     want = values.copy()
     fill_counts, residual, rows, cols = _jacobi_rounds(want, missing, 64)
     for chunk in (1, 5, 64):
@@ -534,6 +539,15 @@ def switching_band():
     values = np.random.default_rng(1).uniform(0.0, 255.0, (24, 48, 1))
     band = generate_line_mask(48, 24, LineSpec(count=1, width=2, seed=2)).degraded
     return Image(values), Mask(band | (np.random.default_rng(124).random((24, 48)) < 0.1))
+
+
+@pytest.mark.parametrize("case", [creeping_band, switching_band])
+def test_chunked_rounds_match_one_chunk_on_bands(case):
+    # Width-2 scratches, as in the scratch workload: chunks of 1 and 5 send
+    # flagged rounds through several flag slices, and through chunks with
+    # and without a hole whose four lines are all complete.
+    image, mask = case()
+    assert_chunk_size_is_invisible(image.data, mask.degraded)
 
 
 def test_creeping_band_hits_low_pass_cap():

@@ -159,13 +159,15 @@ def test_save_rounds_half_up(tmp_path):
 @pytest.mark.parametrize("channels", [1, 3])
 def test_save_bytes_are_floor_of_half_up(tmp_path, channels):
     rng = np.random.default_rng(45 + channels)
-    data = rng.uniform(0.0, 255.0, (9, 11, channels))
-    data.flat[:4] = [0.49999999999999994, 0.5, 254.5, 255.0]
     path = tmp_path / "q.pnm"
-    save_pnm(Image(data), path)
-    payload = path.read_bytes()[-data.size :]
-    assert payload == np.floor(data + 0.5).astype(np.uint8).tobytes()
-    assert payload[:4] == bytes([1, 1, 255, 255])
+    # 64 x 1100 spans several blocks of rows and ends in a partial one.
+    for shape in (9, 11, channels), (64, 1100, channels):
+        data = rng.uniform(0.0, 255.0, shape)
+        data.flat[:4] = data.flat[-4:] = [0.49999999999999994, 0.5, 254.5, 255.0]
+        save_pnm(Image(data), path)
+        payload = path.read_bytes()[-data.size :]
+        assert payload == np.floor(data + 0.5).astype(np.uint8).tobytes()
+        assert payload[:4] == payload[-4:] == bytes([1, 1, 255, 255])
 
 
 def test_save_peak_memory_is_the_byte_image(tmp_path):
@@ -185,6 +187,16 @@ def test_save_rejects_out_of_range(tmp_path):
     img = Image(np.array([[300.0]]))
     with pytest.raises(ValueError, match=r"\[0, 255\]"):
         save_pnm(img, tmp_path / "bad.pgm")
+
+    # One bad sample in the last of several blocks of rows: the message
+    # gives the whole image's min and max, and no file is written.
+    data = np.random.default_rng(47).uniform(1.0, 254.0, (64, 1100, 3))
+    data[0, 0, 0] = 0.125
+    data[-1, -1, -1] = 255.5
+    path = tmp_path / "bad.ppm"
+    with pytest.raises(ValueError, match=r"\[0, 255\] \(min 0\.125, max 255\.5\)"):
+        save_pnm(Image(data), path)
+    assert not path.exists()
 
 
 def test_mask_from_pgm_nonzero_rule(tmp_path):
