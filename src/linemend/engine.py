@@ -17,9 +17,12 @@ holes whose stencil that round changed. Pixels that never acquire a
 complete predictor line (deep hole interiors) are finished by the mean
 of the known pixels in a growing window of at most 21 x 21: the box
 means of a whole-image summed-area table, made only at the rows next to
-a hole row and a bounded block of those rows at a time. An image with
-no known pixel is filled with 128 at once, with no round run. Every
-committed value is clamped to [0, 255].
+a hole row and a bounded block of those rows at a time. Each such hole
+is written in the block that reads its window; that block's sums
+already hold every image row down to the window's bottom, so later
+blocks add only rows below the hole and never read the value written.
+An image with no known pixel is filled with 128 at once, with no round
+run. Every committed value is clamped to [0, 255].
 
 Per missing pixel and channel, the predictions of the available slots
 of kernels.SLOTS are averaged: four directional line predictions and
@@ -264,7 +267,13 @@ def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, co
     ``acc`` between them, and the block's rows are then summed along the
     row. In the block that holds the bottom edge of a hole's largest
     window, _box reads the counts at each half-width's four corners to
-    pick the hole's window, then the sums at that window's corners.
+    pick the hole's window, then the sums at that window's corners, and
+    the hole's mean, clamped to [0, 255], is written into ``values`` at
+    once; a hole with no known pixel within half-width reach gets 128
+    there. That block's walk has already added every image row down to
+    the last row of the hole's largest window, which is the hole's row
+    or below it, so every later block adds only image rows below the
+    hole and no sum reads a written value. The counts read ``missing``.
     """
     if rows.size == 0:
         return 0
@@ -279,9 +288,8 @@ def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, co
     in_band = hole_row[:-3] | hole_row[1:-2] | hole_row[2:-1] | hole_row[3:]
     band = np.flatnonzero(in_band)
     slot = np.cumsum(in_band) - 1
-    # The band positions of the top and bottom edges of each hole's
-    # largest window; the bottom ones never decrease in row-major order.
-    top_slot = slot[rows] - reach
+    # The band position of the bottom edge of each hole's largest window;
+    # it never decreases in row-major order.
     bottom_slot = slot[np.minimum(rows + reach + 1, height)]
     # The buffer holds a block of band rows, the `carry` rows before it
     # and `reach` rows after it, each padded by `reach` columns with what
@@ -295,7 +303,6 @@ def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, co
     sums = np.zeros((carry + block + reach, span, channels))
     counts = np.zeros((carry + block + reach, span), dtype=np.int32)
     cells, count_at = sums.reshape(-1, channels), counts.ravel()
-    out = np.full((rows.size, channels), 128.0)
     flat = values.reshape(-1, channels)
     at = rows * width + cols
     # The holes add +0 where the whole-image table added
@@ -335,10 +342,11 @@ def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, co
             if start + n == band.size:  # windows clipped at the last row read it
                 table[carry + n :] = table[carry + n - 1]
         # This block's holes: find each one's smallest window with a known
-        # pixel, and read that window's box once.
+        # pixel and write its mean into the hole. Later blocks sum only
+        # image rows below the hole, so none reads the value written.
         lo, hi = np.searchsorted(bottom_slot, [start, start + block])
-        pending = np.arange(lo, hi)
-        corner = (top_slot[lo:hi] - (start - carry)) * span + cols[lo:hi]
+        pending = at[lo:hi]
+        corner = (slot[rows[lo:hi]] - reach - (start - carry)) * span + cols[lo:hi]
         for half in range(1, reach + 1):
             if pending.size == 0:
                 break
@@ -347,10 +355,9 @@ def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, co
             corners = (bottom + end, top + end, bottom + left, top + left)
             count = _box(count_at, corner, corners)
             found = count != 0
-            out[pending[found]] = _box(cells, corner[found], corners) / count[found, None]
+            flat[pending[found]] = np.clip(_box(cells, corner[found], corners) / count[found, None], 0.0, 255.0)
             pending, corner = pending[~found], corner[~found]
-    np.clip(out, 0.0, 255.0, out=out)
-    flat[at] = out
+        flat[pending] = 128.0
     return rows.size
 
 

@@ -914,23 +914,40 @@ def test_fallback_matches_oracle_across_blocks(case):
 
 
 @pytest.mark.parametrize("channels", [1, 3])
+def test_fallback_means_are_clamped(channels):
+    # Known values in [-40, 300] give window means outside [0, 255]; each
+    # is clamped where the hole is written, with one block and with the
+    # smallest blocks.
+    rng = np.random.default_rng(33)
+    values = rng.uniform(-40.0, 300.0, (48, 40, channels))
+    missing = rng.random((48, 40)) < 0.6
+    missing[20:30, 5:30] = True
+    for block_bytes in (engine._FALLBACK_BLOCK_BYTES, 0):
+        with mock.patch.object(engine, "_FALLBACK_BLOCK_BYTES", block_bytes):
+            _check_fallback(values, missing)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
 def test_fallback_ignores_residual_hole_contents(channels):
     # A residual hole's stored value never reaches a window sum: holes
     # holding 0, -0.0, a negative number or 1e300 give the same bytes.
+    # With the smallest blocks the band spans 3 of them, so a hole
+    # written in one block and summed by a later one would show here.
     rng = np.random.default_rng(22)
     values = rng.uniform(0.0, 255.0, (48, 40, channels))
     missing = rng.random((48, 40)) < 0.4
     missing[20:30] = True
-    results = []
-    for stored in (0.0, -0.0, -7.5, 1e300):
-        got = values.copy()
-        got[missing] = stored
-        _fallback_fill(got, missing, *np.nonzero(missing))
-        results.append(got.tobytes())
-    assert results == [results[0]] * 4
     want = values.copy()
     fallback_oracle(want, missing)
-    assert results[0] == want.tobytes()
+    for block_bytes in (engine._FALLBACK_BLOCK_BYTES, 0):
+        results = []
+        with mock.patch.object(engine, "_FALLBACK_BLOCK_BYTES", block_bytes):
+            for stored in (0.0, -0.0, -7.5, 1e300):
+                got = values.copy()
+                got[missing] = stored
+                _fallback_fill(got, missing, *np.nonzero(missing))
+                results.append(got.tobytes())
+        assert results == [want.tobytes()] * 4
 
 
 @pytest.fixture(scope="module")
