@@ -136,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="degraded image (P5/P6)")
     p.add_argument("--mask", required=True, help="mask PGM (nonzero = degraded)")
     p.add_argument("--output", required=True, help="restored image path")
-    p.add_argument("--max-passes", type=int, default=64)
+    p.add_argument("--max-passes", type=int, default=EngineConfig.max_passes,
+                   help="cap on predictor fill rounds (default %(default)s)")
     p.set_defaults(func=_cmd_inpaint)
 
     p = sub.add_parser("degrade", help="draw synthetic defect lines on an image")

@@ -1,41 +1,23 @@
 """Multi-pass restoration engine for mask-marked defects.
 
 Filling proceeds in Jacobi rounds: every still-missing pixel is
-predicted from the previous round's state only. A round reads only
-pixels that were known before it and writes only its holes, so results
-are independent of pixel visitation order. It predicts its candidate
-holes in chunks of at most _ROUND_CHUNK and commits each chunk in place
-before the next, so a round's memory is one chunk's temporaries plus
-the list of the holes it filled, whatever its hole count. Every round
-runs on the calling thread; the ``workers`` argument of the public
-functions is accepted and has no effect. Since a hole's predictors
-depend only on which of its 16 line pixels are missing, a hole whose
-stencil the round before left unchanged is still unfillable. A round
-after the first therefore re-predicts every remaining hole when the
-round before filled at least as many as remain, and otherwise only the
-holes whose stencil that round changed. Pixels that never acquire a
-complete predictor line (deep hole interiors) are finished by the mean
-of the known pixels in a growing window of at most 21 x 21: the box
-means of a whole-image summed-area table, made only at the rows next to
-a hole row and a bounded block of those rows at a time. Each such hole
-is written in the block that reads its window; that block's sums
-already hold every image row down to the window's bottom, so later
-blocks add only rows below the hole and never read the value written.
-An image with no known pixel is filled with 128 at once, with no round
-run. Every committed value is clamped to [0, 255].
+predicted from the previous round's state only, so results are
+independent of pixel visitation order. Per missing pixel and channel,
+the predictions of the available slots of kernels.SLOTS are averaged:
+four directional line predictions and two surface predictions. A slot
+is available when every line it names has all four pixels known. When
+all four line predictions exist, the one most deviant from their mean
+is first replaced by the mean of the other three. Rounds stop when one
+fills nothing, no hole remains, or the pass cap is reached; see
+_jacobi_rounds for how a round picks and predicts its holes.
 
-Per missing pixel and channel, the predictions of the available slots
-of kernels.SLOTS are averaged: four directional line predictions and
-two surface predictions. A slot weighs the four pixels of the first
-line it names, and is available when every line it names has all four
-pixels known. Each line's four pixels are gathered once, only where
-the line is complete, and feed both its line slot and the surface slot
-that weighs it, so every tap read is a known pixel inside the image.
-When all four line predictions exist, the one most deviant from their
-mean is first replaced by the mean of the other three. Missing-ness is
-read from a copy of the mask padded by 2 on every side whose border
-counts as missing, so the 16 neighbours of a hole are fixed flat
-offsets with no bounds checks.
+Pixels that never acquire a complete predictor line (deep hole
+interiors) are finished by the mean of the known pixels in the smallest
+centered odd window up to 21 x 21 that holds one, else 128; see
+_fallback_fill. An image with no known pixel is filled with 128 at
+once, with no round run. Every committed value is clamped to [0, 255].
+Every round runs on the calling thread; the ``workers`` argument of the
+public functions is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -139,15 +121,19 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
     reads only pixels that were known before it, since the missing flags
     change only between rounds, and writes only its holes. Its memory is
     one chunk's temporaries plus the holes it filled, whatever the hole
-    count. In a chunk, one gather of the 16 missing flags gives each
-    line's completeness, and two ANDs give the surfaces'. Each line's
-    four taps are then read once, by one ``np.take`` of whole pixels over
-    a (4, holes) index at the holes where that line is complete, so every
-    tap read is a known pixel. Those taps feed the line's slot and, for
-    lines 1 and 0, the surface slot 4 or 5 that weighs them. The outlier
-    step rewrites the most deviant line prediction with one ``np.where``
-    over all four. It runs only in a chunk that has a hole with all four
-    lines complete, the only holes it can change.
+    count. The missing flags are read from a copy of ``degraded`` padded
+    by 2 on every side whose border counts as missing, so a hole's 16
+    neighbours sit at fixed flat offsets with no bounds checks. In a
+    chunk, one gather of those flags gives each line's completeness, and
+    one AND of the two diagonals' gives the surfaces', which each also
+    need their axis line. Each line's four taps are then read once, by
+    one ``np.take`` of whole pixels over a (4, holes) index at the holes
+    where that line is complete, so every tap read is a known pixel.
+    Those taps feed the line's slot and, for lines 1 and 0, the surface
+    slot 4 or 5 that weighs them. The outlier step rewrites the most
+    deviant line prediction with one ``np.where`` over all four. It runs
+    only in a chunk that has a hole with all four lines complete, the
+    only holes it can change.
     """
     height, width, channels = values.shape
     stride = width + 4
@@ -168,15 +154,15 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
     # before the next chunk, the bookkeeping and the next round run.
     def fill_chunk(chunk: np.ndarray) -> np.ndarray:
         complete = ~missing_at[offsets + chunk].any(axis=1)  # (4 lines, chunk)
-        ok = np.empty((len(SLOTS), chunk.size), dtype=bool)
-        ok[:4] = complete
-        # Surface slots 4 and 5 need line 1 or 0 and both diagonals.
-        np.logical_and(complete[1::-1], complete[2] & complete[3], out=ok[4:])
-        fillable = ok.any(axis=0)
-        ok = np.compress(fillable, ok, axis=1)
+        # Every slot needs the line it weighs, so a hole is fillable when
+        # one of its lines is complete.
+        fillable = complete.any(axis=0)
+        complete = np.compress(fillable, complete, axis=1)
         filled = chunk[fillable]
         rows, cols = np.divmod(filled, stride)
         cells = (rows - 2) * width + (cols - 2)
+        # Surface slots 4 and 5 need line 1 or 0 and both diagonals.
+        diagonals = complete[2] & complete[3]
 
         # A sum over axis 0 adds the weighted taps in the order of
         # w0*v0 + w1*v1 + w2*v2 + w3*v3, only starting from +0. That can
@@ -184,17 +170,14 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
         # started from +0, does anyway.
         preds = np.zeros((len(SLOTS), cells.size, channels), dtype=np.float64)
         for d in range(4):
-            at = np.flatnonzero(ok[d])
+            at = np.flatnonzero(complete[d])
             v = np.take(flat, taps[d] + cells[at], axis=0)
             if d < 2:
-                on = ok[5 - d, at]
-                surface = np.compress(on, v, axis=1)
-                surface *= surface_weights
-                preds[5 - d, at[on]] = surface.sum(axis=0)
+                preds[5 - d, at] = np.where(diagonals[at, None], (v * surface_weights).sum(axis=0), 0.0)
             v *= line_weights
             preds[d, at] = v.sum(axis=0)
 
-        all_lines = ok[0] & ok[1] & ok[2] & ok[3]  # slots 0-3 are the lines
+        all_lines = complete.all(axis=0)
         if all_lines.any():
             lines = np.compress(all_lines, preds[:4], axis=1)
             mean = (lines[0] + lines[1] + lines[2] + lines[3]) * 0.25
@@ -202,7 +185,8 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
             preds[:4, all_lines] = np.where(line_index == worst, (4.0 * mean - lines) / 3.0, lines)
 
         # preds is zero where a slot is not available; at most 6 are.
-        flat[cells] = np.clip(preds.sum(axis=0) / ok.sum(axis=0, dtype=np.uint8)[:, None], 0.0, 255.0)
+        available = complete.sum(axis=0, dtype=np.uint8) + (complete[:2] & diagonals).sum(axis=0, dtype=np.uint8)
+        flat[cells] = np.clip(preds.sum(axis=0) / available[:, None], 0.0, 255.0)
         return filled
 
     candidates = holes
@@ -232,9 +216,7 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
         candidates = holes[near_filled[holes]]
         near_filled[candidates] = False
     rows, cols = np.divmod(holes, stride)
-    rows -= 2
-    cols -= 2
-    return fill_counts, padded[2:-2, 2:-2], rows, cols
+    return fill_counts, padded[2:-2, 2:-2], rows - 2, cols - 2
 
 
 def _box(table: np.ndarray, at: np.ndarray, corners: tuple[int, int, int, int]) -> np.ndarray:

@@ -10,8 +10,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from linemend import Image, LineSpec, Mask, generate_line_mask, load_pnm, mask_to_pgm, save_pnm
-from linemend.cli import main, run_sweep
+from linemend import EngineConfig, Image, LineSpec, Mask, generate_line_mask, load_pnm, mask_to_pgm, save_pnm
+from linemend.cli import build_parser, main, run_sweep
 
 from conftest import natural_image
 
@@ -113,6 +113,11 @@ def test_inpaint_max_passes(tmp_path, capsys, flag, printed, rc):
     assert main(args) == rc
     captured = capsys.readouterr()
     assert (captured.err if rc else captured.out) == printed
+
+
+def test_inpaint_max_passes_default_is_the_engine_default():
+    args = build_parser().parse_args(["inpaint", "--input", "a.pgm", "--mask", "m.pgm", "--output", "b.pgm"])
+    assert args.max_passes == EngineConfig().max_passes
 
 
 def test_degrade_count_bound_512(tmp_path, natural512_pgm, capsys):

@@ -261,7 +261,7 @@ def assert_chunk_size_is_invisible(values, missing):
 def test_jacobi_rounds_peak_on_sparse_holes():
     # 10% i.i.d. holes on 512x512 gray: 26 thousand candidate holes in the
     # first round, predicted in chunks of 4096, so the rounds add about
-    # 1.40 MB to the 2.1 MB image. Round 1 fills all but 515 holes, so
+    # 1.34 MB to the 2.1 MB image. Round 1 fills all but 515 holes, so
     # round 2 re-checks those without a flag grid.
     values = natural_image().data.copy()
     missing = np.random.default_rng(0).random((512, 512)) < 0.1
@@ -381,8 +381,26 @@ def pass_cases(draw):
     return values, missing
 
 
+def line_pattern_case():
+    """A 125x125x3 state of 5x5 tiles, each with a hole at its centre.
+    Each of the hole's four lines is complete or broken at one of its
+    four taps, so the tiles hold all 5**4 = 625 line-completeness
+    patterns. Values are uniform in [-40, 300], so the clamp acts."""
+    values = np.random.default_rng(625).uniform(-40.0, 300.0, (125, 125, 3))
+    missing = np.zeros((125, 125), bool)
+    for i, pattern in enumerate(np.ndindex((5,) * 4)):
+        r, c = 5 * (i // 25) + 2, 5 * (i % 25) + 2
+        missing[r, c] = True
+        for d, broken in enumerate(pattern):  # 0: complete; k > 0: tap k - 1 missing
+            if broken:
+                dr, dc = NEIGHBOR_OFFSETS[4 * d + broken - 1]
+                missing[r + dr, c + dc] = True
+    return values, missing
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=pass_cases())
+@example(case=line_pattern_case())
 def test_run_pass_matches_scalar_reference(case):
     # The vectorized pass must agree bit for bit with the per-pixel route
     # of tests/oracle.py (gather_neighborhood + predict_pixel) on every
