@@ -233,29 +233,30 @@ def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, co
     pixels in the smallest centered odd window up to 21 x 21 that
     contains one (else 128). Mutates ``values``.
 
-    The means are those of a whole-image summed-area table, made only at
-    the band of table rows next to a hole row. A window grows past
-    half-width h - 1 only when it holds nothing but holes, so the rows it
-    reads at h are consecutive band rows, and its columns end at most 2
-    past the last hole column. One walk down the band makes its rows in
-    blocks of about _FALLBACK_BLOCK_BYTES, and at least 2 * reach + 1
-    rows, and carries the last 2 * reach + 1 rows of each block into the
-    next, so their memory grows with neither the image height nor the
-    number of hole rows. Each row holds the channel sums and the integer
-    known-pixel counts. The sums keep the whole-image table's
-    floating-point additions: for each block, one pass over the image
-    rows since the block before adds each to the running row of prefix
-    sums down the image, which is kept in the block at band rows and in
-    ``acc`` between them, and the block's rows are then summed along the
-    row. In the block that holds the bottom edge of a hole's largest
+    The means are those of a summed-area table made only at the band of
+    table rows next to a hole row. A window grows past half-width h - 1
+    only when it holds nothing but holes, so the rows it reads at h are
+    consecutive band rows, and its columns end at most 2 past the last
+    hole column. One walk down the band makes its rows in blocks of about
+    _FALLBACK_BLOCK_BYTES, and at least 2 * reach + 1 rows, and carries
+    the last 2 * reach + 1 rows of each block into the next, so their
+    memory grows with neither the image height nor the number of hole
+    rows. Each row holds the channel sums and the integer known-pixel
+    counts. Each band row is the band row before it plus the one image
+    row directly above it, so the walk reads only the image rows above
+    band rows. Across a gap in the band the rows no longer equal the
+    whole-image table's, but no window spans a gap, so a window's sum
+    differs from that table's only by rounding, which is smaller since
+    the running sums are shorter. ``acc`` carries the last band row's
+    channel sums, before they are summed along the row, into the next
+    block. In the block that holds the bottom edge of a hole's largest
     window, _box reads the counts at each half-width's four corners to
     pick the hole's window, then the sums at that window's corners, and
     the hole's mean, clamped to [0, 255], is written into ``values`` at
     once; a hole with no known pixel within half-width reach gets 128
-    there. That block's walk has already added every image row down to
-    the last row of the hole's largest window, which is the hole's row
-    or below it, so every later block adds only image rows below the
-    hole and no sum reads a written value. The counts read ``missing``.
+    there. That block's walk has already added the hole's row, so every
+    later block adds only image rows below the hole and no sum reads a
+    written value. The counts read ``missing``.
     """
     if rows.size == 0:
         return 0
@@ -290,10 +291,8 @@ def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, co
     # The holes add +0 where the whole-image table added
     # values * 0.0, a +-0 that leaves a sum started from +0 as it is.
     flat[at] = 0.0
-    acc = np.zeros((right, channels))  # table row t, without its column 0
-    # positions[t] is table row t's band position, or -1 off the band.
-    positions = np.where(in_band, slot, -1).tolist()
-    t = 0
+    acc = np.zeros((right, channels))  # the last band row, without its column 0
+    above = values[:, :right]
     for start in range(0, band.size, block):
         stored = band[start : start + block]
         n = stored.size
@@ -309,15 +308,14 @@ def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, co
         np.cumsum(known, axis=1, out=known)
         for before, row in zip(count_rows, count_rows[1:]):
             np.add(before, row, row)
-        # Table row t + 1 is row t plus image row t, kept in the block at
-        # band rows and in acc between them.
+        # The sums add the same image rows, before the row cumsum; table
+        # row 0, first in the band if at all, stays zero.
         prev = acc
-        for image_row, pos in zip(values[t : stored[-1], :right], positions[t + 1 : stored[-1] + 1]):
-            row = acc if pos < 0 else sum_rows[pos - start]
-            np.add(prev, image_row, row)
-            prev = row
+        for row, t in zip(sum_rows, stored.tolist()):
+            if t:
+                np.add(prev, above[t - 1], row)
+                prev = row
         acc[:] = prev
-        t = stored[-1]
         np.cumsum(sum_rows, axis=1, out=sum_rows)
         for table in sums, counts:
             table[carry : carry + n, reach + 1 + right :] = table[carry : carry + n, reach + right, None]

@@ -2,6 +2,7 @@
 the vectorized pass against it, pass scheduling, and whole-run
 invariants, with brute-force enumeration oracles for availability."""
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -506,10 +507,33 @@ def fallback_oracle(values, missing):
     return rows.size
 
 
-def reference_report(image, mask, config, workers):
-    """inpaint_report's contract, spelled out as a loop over the public
+def assert_fallback_close(got, want, before, residual):
+    """The fallback's output ``got`` against the oracle's ``want``, both
+    made from ``before`` with the holes ``residual`` left. Off the holes,
+    and at holes with no known pixel within reach (128), they are equal.
+    At the other holes they are within tau = 8 (H + W + 1) eps max|x| H W,
+    x over the known pixels: to first order, the most by which two
+    four-corner differences of sums built by at most H + W chained
+    additions can differ. The window sizes, from exact counts, agree."""
+    height, width, _ = before.shape
+    known = ~residual
+    assert got[known].tobytes() == want[known].tobytes()
+    count_int = _integral_oracle(known.astype(np.float64))
+    rows, cols = np.nonzero(residual)
+    r0, r1 = np.maximum(rows - 10, 0), np.minimum(rows + 11, height)
+    c0, c1 = np.maximum(cols - 10, 0), np.minimum(cols + 11, width)
+    out_of_reach = count_int[r1, c1] - count_int[r0, c1] - count_int[r1, c0] + count_int[r0, c0] == 0
+    assert (got[rows[out_of_reach], cols[out_of_reach]] == 128.0).all()
+    assert (want[rows[out_of_reach], cols[out_of_reach]] == 128.0).all()
+    tau = 8 * (height + width + 1) * np.finfo(np.float64).eps * np.abs(before[known]).max(initial=0.0) * height * width
+    assert np.abs(got[residual] - want[residual]).max(initial=0.0) <= tau
+
+
+def reference_rounds(image, mask, config, workers):
+    """inpaint_report's rounds, spelled out as a loop over the public
     run_pass: full rounds until one fills nothing, no hole remains or the
-    pass cap is reached, then the fallback."""
+    pass cap is reached. Returns the values, the residual holes and the
+    fill counts."""
     values = image.data.copy()
     missing = mask.degraded.copy()
     fills = []
@@ -519,8 +543,14 @@ def reference_report(image, mask, config, workers):
         if fills[-1] == 0:
             break
         missing &= ~filled
+    return values, missing, tuple(fills)
+
+
+def reference_report(image, mask, config, workers):
+    """inpaint_report's contract: reference_rounds, then the fallback."""
+    values, missing, fills = reference_rounds(image, mask, config, workers)
     fallback = fallback_oracle(values, missing)
-    return values, tuple(fills), fallback
+    return values, fills, fallback
 
 
 @st.composite
@@ -582,9 +612,11 @@ def test_creeping_band_hits_low_pass_cap():
 def test_inpaint_report_matches_run_pass_loop(case, max_passes, workers):
     image, mask = case
     config = EngineConfig(max_passes=max_passes)
-    values, fills, fallback = reference_report(image, mask, config, workers)
+    before, residual, fills = reference_rounds(image, mask, config, workers)
+    values = before.copy()
+    fallback = fallback_oracle(values, residual)
     report = inpaint_report(image, mask, config, workers=workers)
-    assert report.image.data.tobytes() == values.tobytes()
+    assert_fallback_close(report.image.data, values, before, residual)
     assert report.passes == len(fills)
     assert report.pass_fill_counts == fills
     assert report.fallback_filled == fallback
@@ -792,12 +824,17 @@ def test_fallback_window_limit_gives_128():
 
 
 def _check_fallback(values, missing):
+    # Within tau of the oracle, and the same bytes with the smallest blocks.
     want = values.copy()
     want_count = fallback_oracle(want, missing)
     got = values.copy()
     got_count = _fallback_fill(got, missing, *np.nonzero(missing))
     assert got_count == want_count
-    assert got.tobytes() == want.tobytes()
+    assert_fallback_close(got, want, values, missing)
+    smallest = values.copy()
+    with mock.patch.object(engine, "_FALLBACK_BLOCK_BYTES", 0):
+        _fallback_fill(smallest, missing, *np.nonzero(missing))
+    assert smallest.tobytes() == got.tobytes()
 
 
 @settings(max_examples=120, deadline=None)
@@ -948,24 +985,26 @@ def test_fallback_means_are_clamped(channels):
 @pytest.mark.parametrize("channels", [1, 3])
 def test_fallback_ignores_residual_hole_contents(channels):
     # A residual hole's stored value never reaches a window sum: holes
-    # holding 0, -0.0, a negative number or 1e300 give the same bytes.
-    # With the smallest blocks the band spans 3 of them, so a hole
-    # written in one block and summed by a later one would show here.
+    # holding 0, -0.0, a negative number or 1e300 give the same bytes,
+    # with one block and with the smallest. With the smallest blocks the
+    # band spans 3 of them, so a hole written in one block and summed by
+    # a later one would show here.
     rng = np.random.default_rng(22)
     values = rng.uniform(0.0, 255.0, (48, 40, channels))
     missing = rng.random((48, 40)) < 0.4
     missing[20:30] = True
     want = values.copy()
     fallback_oracle(want, missing)
+    results = []
     for block_bytes in (engine._FALLBACK_BLOCK_BYTES, 0):
-        results = []
         with mock.patch.object(engine, "_FALLBACK_BLOCK_BYTES", block_bytes):
             for stored in (0.0, -0.0, -7.5, 1e300):
                 got = values.copy()
                 got[missing] = stored
                 _fallback_fill(got, missing, *np.nonzero(missing))
-                results.append(got.tobytes())
-        assert results == [want.tobytes()] * 4
+                results.append(got)
+    assert all(got.tobytes() == results[0].tobytes() for got in results)
+    assert_fallback_close(results[0], want, values, missing)
 
 
 @pytest.fixture(scope="module")
@@ -994,6 +1033,45 @@ def test_fallback_matches_oracle_on_wide_bands(width):
     _check_fallback_after_rounds(apply_mask(natural_image(), mask), mask)
 
 
+def test_fallback_means_ignore_large_rows_above_the_band():
+    # Rows 0-9 hold 1e15. Sums running down from row 0 would carry them
+    # into every window and round the means by tens of levels; the band's
+    # own rows give the exact window means to within 1e-9.
+    values = np.random.default_rng(34).uniform(0.0, 255.0, (64, 64, 1))
+    values[:10] = 1e15
+    missing = np.zeros((64, 64), bool)
+    missing[40:45] = True
+    got = values.copy()
+    _fallback_fill(got, missing, *np.nonzero(missing))
+    for r, c in zip(*np.nonzero(missing)):
+        for half in range(1, 11):
+            window = np.s_[max(r - half, 0) : r + half + 1, max(c - half, 0) : c + half + 1]
+            known = ~missing[window]
+            if known.any():
+                break
+        want = math.fsum(values[window][known, 0]) / known.sum()
+        assert abs(got[r, c, 0] - want) <= 1e-9
+
+
+def test_inpaint_reads_no_row_far_from_the_holes():
+    # The rounds read 2 rows around a hole and the fallback's band at most
+    # 2 more, so rows more than 11 from every hole, here scaled to values
+    # that would change the rounding of any sum through them, do not
+    # change a byte of the other rows' output.
+    rng = np.random.default_rng(35)
+    data = rng.uniform(0.0, 255.0, (96, 48, 3))
+    missing = np.zeros((96, 48), bool)
+    missing[50:56] = True  # 6 rows deep: only the fallback fills it
+    missing[60, ::5] = True
+    far = np.abs(np.arange(96)[:, None] - np.flatnonzero(missing.any(axis=1))).min(axis=1) > 11
+    changed = data.copy()
+    changed[far] *= 1e9
+    report = inpaint_report(Image(data), Mask(missing))
+    assert report.fallback_filled > 0
+    restored = inpaint_report(Image(changed), Mask(missing)).image.data
+    assert restored[~far].tobytes() == report.image.data[~far].tobytes()
+
+
 def test_fallback_memory_follows_hole_rows():
     # Holes in the last 3 rows of 1024x1024 RGB: a whole-image table would
     # take 32 MiB, but the windows read only the rows next to the holes.
@@ -1017,6 +1095,7 @@ def test_fallback_holds_sum_rows_in_blocks():
     values = rng.uniform(0.0, 255.0, (1024, 1024, 3))
     missing = np.zeros((1024, 1024), bool)
     missing[np.arange(8, 1024, 16), rng.integers(0, 1024, 64)] = True
+    before = values.copy()
     want = values.copy()
     fallback_oracle(want, missing)
     rows, cols = np.nonzero(missing)
@@ -1027,7 +1106,7 @@ def test_fallback_holds_sum_rows_in_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 2.5e6
-    assert values.tobytes() == want.tobytes()
+    assert_fallback_close(values, want, before, missing)
 
 
 @pytest.mark.parametrize("channels", [1, 3])
