@@ -59,11 +59,9 @@ class InpaintReport:
 
 # Half-width of the largest box-mean fallback window (21 x 21).
 _FALLBACK_REACH = 10
-# Bytes of summed-area rows in one block of the fallback's walk down the
-# rows next to the holes; a block also holds at least 2 * reach + 1 rows.
-_FALLBACK_BLOCK_BYTES = 1 << 19
-# Candidate holes per chunk of a fill round, so that a round's
-# temporaries do not grow with its hole count.
+# Candidate holes per chunk of a fill round, and of the fallback's
+# neighbour checks, so that their temporaries do not grow with the hole
+# count.
 _ROUND_CHUNK = 4096
 
 
@@ -219,125 +217,88 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
     return fill_counts, padded[2:-2, 2:-2], rows - 2, cols - 2
 
 
-def _box(table: np.ndarray, at: np.ndarray, corners: tuple[int, int, int, int]) -> np.ndarray:
-    """The box sums S[b,e] - S[t,e] - S[b,l] + S[t,l] of the flat summed-area
-    ``table`` (counts or channel sums), read at the flat offsets ``corners``
-    (b,e; t,e; b,l; t,l) past each index of ``at``, in that order."""
-    bottom_end, top_end, bottom_left, top_left = (np.take(table[c:], at, axis=0) for c in corners)
-    return bottom_end - top_end - bottom_left + top_left
+def _ring(half: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (8 * half, 1) row and column offsets at Chebyshev distance
+    ``half``, in row-major order."""
+    steps = np.arange(-half, half + 1)
+    dr, dc = np.meshgrid(steps, steps, indexing="ij")
+    on = np.maximum(np.abs(dr), np.abs(dc)) == half
+    return dr[on, None], dc[on, None]
 
 
 def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> int:
     """Fill the residual holes at (``rows``, ``cols``), which are all the
     pixels of ``missing`` in row-major order, with the mean of the known
     pixels in the smallest centered odd window up to 21 x 21 that
-    contains one (else 128). Mutates ``values``.
+    contains one (else 128), clamped to [0, 255]. Mutates ``values``.
 
-    The means are those of a summed-area table made only at the band of
-    table rows next to a hole row. A window grows past half-width h - 1
-    only when it holds nothing but holes, so the rows it reads at h are
-    consecutive band rows, and its columns end at most 2 past the last
-    hole column. One walk down the band makes its rows in blocks of about
-    _FALLBACK_BLOCK_BYTES, and at least 2 * reach + 1 rows, and carries
-    the last 2 * reach + 1 rows of each block into the next, so their
-    memory grows with neither the image height nor the number of hole
-    rows. Each row holds the channel sums and the integer known-pixel
-    counts. Each band row is the band row before it plus the one image
-    row directly above it, so the walk reads only the image rows above
-    band rows. Across a gap in the band the rows no longer equal the
-    whole-image table's, but no window spans a gap, so a window's sum
-    differs from that table's only by rounding, which is smaller since
-    the running sums are shorter. ``acc`` carries the last band row's
-    channel sums, before they are summed along the row, into the next
-    block. In the block that holds the bottom edge of a hole's largest
-    window, _box reads the counts at each half-width's four corners to
-    pick the hole's window, then the sums at that window's corners, and
-    the hole's mean, clamped to [0, 255], is written into ``values`` at
-    once; a hole with no known pixel within half-width reach gets 128
-    there. That block's walk has already added the hole's row, so every
-    later block adds only image rows below the hole and no sum reads a
-    written value. The counts read ``missing``.
+    A window grows past half-width h - 1 only while it holds no known
+    pixel, so the known pixels of the window it stops at all lie on its
+    ring, the 8h pixels at Chebyshev distance h from the hole, and the
+    mean is theirs. A pending hole's ring at h holds a known pixel
+    exactly when one of its 8 neighbours is known or was filled at a
+    half-width below h: a known pixel at distance h lies at h - 1 from a
+    neighbour, and none lies nearer. An int8 grid, padded by the reach
+    on every side, holds 0 at known pixels, 1 at holes and off the
+    image, and -1 at holes filled at an earlier half-width. Each
+    half-width first checks the neighbours of every pending hole, then
+    reads the rings of the holes that pass, and marks them -1 only
+    after, so no check sees a hole filled at the same half-width. A ring
+    is one ``np.take`` of whole pixels, multiplied by the grid's known
+    flags, so no value stored or written at a hole enters a mean. Its
+    taps are added in one fixed order, one ring pixel at a time, so a
+    hole's mean depends neither on its chunk nor on the channel count.
+    A ring of integer pixels (below 2**46 in magnitude) has an exact
+    sum, so its mean is the correctly rounded quotient.
+
+    The memory is the grid, one byte per padded pixel, 8 bytes per
+    pending hole (its padded flat index; a split into found and pending
+    holds about twice that plus a flag byte) and one chunk's
+    temporaries: the neighbour check takes _ROUND_CHUNK holes at a time
+    and a ring read _ROUND_CHUNK // h, at most 8 * _ROUND_CHUNK taps.
+    The grid grows with the image, whatever rows hold the holes.
     """
     if rows.size == 0:
         return 0
     height, width, channels = values.shape
     reach = _FALLBACK_REACH
-    carry = 2 * reach + 1
-    right = min(int(cols.max()) + 2, width)
-    # Table row t is in the band when one of image rows t-2 .. t+1
-    # holds a hole; slot[t] is its position in the band.
-    hole_row = np.zeros(height + 4, dtype=bool)
-    hole_row[rows + 2] = True
-    in_band = hole_row[:-3] | hole_row[1:-2] | hole_row[2:-1] | hole_row[3:]
-    band = np.flatnonzero(in_band)
-    slot = np.cumsum(in_band) - 1
-    # The band position of the bottom edge of each hole's largest window;
-    # it never decreases in row-major order.
-    bottom_slot = slot[np.minimum(rows + reach + 1, height)]
-    # The buffer holds a block of band rows, the `carry` rows before it
-    # and `reach` rows after it, each padded by `reach` columns with what
-    # a clipped window corner would read: zeros on the left, copies of
-    # table column `right` on the right. Each corner of a half-width then
-    # sits at one flat offset from a hole's `corner`, the top left of its
-    # largest window. A block holds at least as many rows as it carries.
-    # int32 counts wrap modulo 2**32, which leaves a window's count exact.
-    span = right + 1 + 2 * reach
-    block = min(max(_FALLBACK_BLOCK_BYTES // (span * channels * 8), carry), band.size)
-    sums = np.zeros((carry + block + reach, span, channels))
-    counts = np.zeros((carry + block + reach, span), dtype=np.int32)
-    cells, count_at = sums.reshape(-1, channels), counts.ravel()
+    stride = width + 2 * reach
+    grid = np.ones((height + 2 * reach, stride), dtype=np.int8)
+    grid[reach:-reach, reach:-reach] = missing
+    state = grid.ravel()
     flat = values.reshape(-1, channels)
-    at = rows * width + cols
-    # The holes add +0 where the whole-image table added
-    # values * 0.0, a +-0 that leaves a sum started from +0 as it is.
-    flat[at] = 0.0
-    acc = np.zeros((right, channels))  # the last band row, without its column 0
-    above = values[:, :right]
-    for start in range(0, band.size, block):
-        stored = band[start : start + block]
-        n = stored.size
-        for table in sums, counts:
-            table[:carry] = table[block : block + carry]
-        sum_rows = sums[carry : carry + n, reach + 1 : reach + 1 + right]
-        count_rows = counts[carry - 1 : carry + n, reach + 1 : reach + 1 + right]
-        # Counts are exact in any order of addition: each band row adds
-        # the known pixels of the image row above it to the band row before.
-        known = count_rows[1:]
-        np.logical_not(missing[stored - 1, :right], out=known)
-        known[stored == 0] = 0
-        np.cumsum(known, axis=1, out=known)
-        for before, row in zip(count_rows, count_rows[1:]):
-            np.add(before, row, row)
-        # The sums add the same image rows, before the row cumsum; table
-        # row 0, first in the band if at all, stays zero.
-        prev = acc
-        for row, t in zip(sum_rows, stored.tolist()):
-            if t:
-                np.add(prev, above[t - 1], row)
-                prev = row
-        acc[:] = prev
-        np.cumsum(sum_rows, axis=1, out=sum_rows)
-        for table in sums, counts:
-            table[carry : carry + n, reach + 1 + right :] = table[carry : carry + n, reach + right, None]
-            if start + n == band.size:  # windows clipped at the last row read it
-                table[carry + n :] = table[carry + n - 1]
-        # This block's holes: find each one's smallest window with a known
-        # pixel and write its mean into the hole. Later blocks sum only
-        # image rows below the hole, so none reads the value written.
-        lo, hi = np.searchsorted(bottom_slot, [start, start + block])
-        pending = at[lo:hi]
-        corner = (slot[rows[lo:hi]] - reach - (start - carry)) * span + cols[lo:hi]
-        for half in range(1, reach + 1):
-            if pending.size == 0:
-                break
-            top, bottom = (reach - half) * span, (reach + half + 1) * span
-            left, end = reach - half, reach + half + 1
-            corners = (bottom + end, top + end, bottom + left, top + left)
-            count = _box(count_at, corner, corners)
-            found = count != 0
-            flat[pending[found]] = np.clip(_box(cells, corner[found], corners) / count[found, None], 0.0, 255.0)
-            pending, corner = pending[~found], corner[~found]
-        flat[pending] = 128.0
+    pending = (rows + reach) * stride + (cols + reach)
+
+    def cells(at: np.ndarray) -> np.ndarray:
+        grid_rows, grid_cols = np.divmod(at, stride)
+        return (grid_rows - reach) * width + (grid_cols - reach)
+
+    dr, dc = _ring(1)
+    neighbours = dr * stride + dc
+    for half in range(1, reach + 1):
+        dr, dc = _ring(half)
+        grid_taps, image_taps = dr * stride + dc, dr * width + dc
+        step = max(_ROUND_CHUNK // half, 1)
+        passed = np.zeros(pending.size, dtype=bool)
+        for i in range(0, pending.size, _ROUND_CHUNK):
+            passed[i : i + _ROUND_CHUNK] = (state[neighbours + pending[i : i + _ROUND_CHUNK]] <= 0).any(axis=0)
+        found, pending = pending[passed], pending[~passed]
+        for i in range(0, found.size, step):
+            chunk = found[i : i + step]
+            known = state[grid_taps + chunk] == 0
+            at = cells(chunk)
+            taps = np.take(flat, image_taps + at, axis=0, mode="clip")
+            taps *= known[:, :, None]
+            # Row by row, not taps.sum(axis=0), which adds pairwise or
+            # not depending on the chunk and channel count.
+            sums = taps[0].copy()
+            for row in taps[1:]:
+                sums += row
+            flat[at] = np.clip(sums / known.sum(axis=0)[:, None], 0.0, 255.0)
+        state[found] = -1
+        if pending.size == 0:
+            break
+    flat[cells(pending)] = 128.0
     return rows.size
 
 

@@ -4,6 +4,7 @@ invariants, with brute-force enumeration oracles for availability."""
 
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -824,7 +825,7 @@ def test_fallback_window_limit_gives_128():
 
 
 def _check_fallback(values, missing):
-    # Within tau of the oracle, and the same bytes with the smallest blocks.
+    # Within tau of the oracle, and the same bytes with one hole per chunk.
     want = values.copy()
     want_count = fallback_oracle(want, missing)
     got = values.copy()
@@ -832,7 +833,7 @@ def _check_fallback(values, missing):
     assert got_count == want_count
     assert_fallback_close(got, want, values, missing)
     smallest = values.copy()
-    with mock.patch.object(engine, "_FALLBACK_BLOCK_BYTES", 0):
+    with mock.patch.object(engine, "_ROUND_CHUNK", 1):
         _fallback_fill(smallest, missing, *np.nonzero(missing))
     assert smallest.tobytes() == got.tobytes()
 
@@ -899,9 +900,8 @@ def test_fallback_matches_oracle_on_sparse_hole_rows(case):
 @st.composite
 def tall_sparse_holes(draw):
     """Few holes over the rows of a tall grid, sometimes with a narrow
-    vertical band whose windows span several rows, so that with the
-    smallest blocks the fallback makes its edge rows in several blocks
-    and windows straddle the seams between them."""
+    vertical band whose holes find known pixels only at a larger
+    half-width, on the left or right side of their ring."""
     height = draw(st.integers(44, 200))
     width = draw(st.integers(8, 48))
     channels = draw(st.sampled_from([1, 3]))
@@ -916,7 +916,7 @@ def tall_sparse_holes(draw):
     return values, missing
 
 
-def band_across_blocks():
+def tall_band_beside_sparse_holes():
     values = np.random.default_rng(26).uniform(0.0, 255.0, (200, 40, 3))
     missing = np.zeros((200, 40), bool)
     missing[30:171, 10:15] = True
@@ -924,10 +924,11 @@ def band_across_blocks():
     return values, missing
 
 
-def widest_window_across_blocks():
-    # Every row holds a window edge, so edge rows are image rows, and the
-    # 21-row window of hole (29, 30) ends at row 40: with blocks of 21 its
-    # top and bottom edge rows lie in consecutive blocks.
+def widest_window():
+    # The 19 x 19 block's centre hole (29, 30) first meets known pixels at
+    # half-width 10, the reach, on all four sides of its 80-pixel ring,
+    # after every other hole of the block has been filled on an earlier
+    # ring; the holes of column 90 are filled at half-width 1.
     values = np.random.default_rng(27).uniform(0.0, 255.0, (80, 100, 3))
     missing = np.zeros((80, 100), bool)
     missing[20:39, 21:40] = True
@@ -935,10 +936,9 @@ def widest_window_across_blocks():
     return values, missing
 
 
-def widest_window_opens_a_block():
-    # Every table row is next to a hole row, so with blocks of 21 rows
-    # row 42 opens the third block: it is the bottom edge of the 21-row
-    # window of hole (31, 30), whose box is read in that block.
+def widest_window_lower():
+    # The same block two rows lower: the ring of its centre hole (31, 30)
+    # at half-width 10 runs along rows 21 and 41, just outside the block.
     values = np.random.default_rng(32).uniform(0.0, 255.0, (80, 100, 3))
     missing = np.zeros((80, 100), bool)
     missing[22:41, 21:40] = True
@@ -946,9 +946,10 @@ def widest_window_opens_a_block():
     return values, missing
 
 
-def clipped_windows_across_blocks():
-    # Deep holes at the top and bottom rows: their windows clip at row 0
-    # in the first block and at the last row in the last block.
+def clipped_windows():
+    # Deep holes at the top and bottom rows: their rings run off the
+    # image, where the clipped taps read other pixels that the grid's
+    # known flags zero.
     values = np.random.default_rng(28).uniform(0.0, 255.0, (90, 40, 3))
     missing = np.zeros((90, 40), bool)
     missing[:14, 4:26] = True
@@ -958,27 +959,27 @@ def clipped_windows_across_blocks():
 
 
 @settings(max_examples=120, deadline=None)
-@example(case=band_across_blocks())
-@example(case=widest_window_across_blocks())
-@example(case=widest_window_opens_a_block())
-@example(case=clipped_windows_across_blocks())
+@example(case=tall_band_beside_sparse_holes())
+@example(case=widest_window())
+@example(case=widest_window_lower())
+@example(case=clipped_windows())
 @given(case=tall_sparse_holes())
 def test_fallback_matches_oracle_across_blocks(case):
-    with mock.patch.object(engine, "_FALLBACK_BLOCK_BYTES", 0):
+    with mock.patch.object(engine, "_ROUND_CHUNK", 1):
         _check_fallback(*case)
 
 
 @pytest.mark.parametrize("channels", [1, 3])
 def test_fallback_means_are_clamped(channels):
     # Known values in [-40, 300] give window means outside [0, 255]; each
-    # is clamped where the hole is written, with one block and with the
-    # smallest blocks.
+    # is clamped where the hole is written, with the default chunks and
+    # with one hole per chunk.
     rng = np.random.default_rng(33)
     values = rng.uniform(-40.0, 300.0, (48, 40, channels))
     missing = rng.random((48, 40)) < 0.6
     missing[20:30, 5:30] = True
-    for block_bytes in (engine._FALLBACK_BLOCK_BYTES, 0):
-        with mock.patch.object(engine, "_FALLBACK_BLOCK_BYTES", block_bytes):
+    for chunk in (engine._ROUND_CHUNK, 1):
+        with mock.patch.object(engine, "_ROUND_CHUNK", chunk):
             _check_fallback(values, missing)
 
 
@@ -986,9 +987,9 @@ def test_fallback_means_are_clamped(channels):
 def test_fallback_ignores_residual_hole_contents(channels):
     # A residual hole's stored value never reaches a window sum: holes
     # holding 0, -0.0, a negative number or 1e300 give the same bytes,
-    # with one block and with the smallest. With the smallest blocks the
-    # band spans 3 of them, so a hole written in one block and summed by
-    # a later one would show here.
+    # with the default chunks and with one hole per chunk. Rows 20-29 are
+    # all holes, so holes filled at one half-width lie on the rings read
+    # at later ones, and a filled value read as known would show here.
     rng = np.random.default_rng(22)
     values = rng.uniform(0.0, 255.0, (48, 40, channels))
     missing = rng.random((48, 40)) < 0.4
@@ -996,8 +997,8 @@ def test_fallback_ignores_residual_hole_contents(channels):
     want = values.copy()
     fallback_oracle(want, missing)
     results = []
-    for block_bytes in (engine._FALLBACK_BLOCK_BYTES, 0):
-        with mock.patch.object(engine, "_FALLBACK_BLOCK_BYTES", block_bytes):
+    for chunk in (engine._ROUND_CHUNK, 1):
+        with mock.patch.object(engine, "_ROUND_CHUNK", chunk):
             for stored in (0.0, -0.0, -7.5, 1e300):
                 got = values.copy()
                 got[missing] = stored
@@ -1021,8 +1022,8 @@ def _check_fallback_after_rounds(image, mask):
 
 @pytest.mark.parametrize("pattern", [0, 6])
 def test_fallback_matches_oracle_on_benchmark_scratches(rgb1024, pattern):
-    # The scratches span the image, so the hole rows span most of the
-    # table, but few rows hold the edge of a chosen window.
+    # The scratches span the image, so the residual holes and the rings
+    # they read lie in most of its rows and columns.
     mask = generate_line_mask(1024, 1024, LineSpec(count=8, width=2, seed=pattern))
     _check_fallback_after_rounds(apply_mask(rgb1024, mask), mask)
 
@@ -1034,28 +1035,58 @@ def test_fallback_matches_oracle_on_wide_bands(width):
 
 
 def test_fallback_means_ignore_large_rows_above_the_band():
-    # Rows 0-9 hold 1e15. Sums running down from row 0 would carry them
-    # into every window and round the means by tens of levels; the band's
-    # own rows give the exact window means to within 1e-9.
-    values = np.random.default_rng(34).uniform(0.0, 255.0, (64, 64, 1))
-    values[:10] = 1e15
-    missing = np.zeros((64, 64), bool)
-    missing[40:45] = True
-    got = values.copy()
-    _fallback_fill(got, missing, *np.nonzero(missing))
-    for r, c in zip(*np.nonzero(missing)):
-        for half in range(1, 11):
-            window = np.s_[max(r - half, 0) : r + half + 1, max(c - half, 0) : c + half + 1]
-            known = ~missing[window]
-            if known.any():
-                break
-        want = math.fsum(values[window][known, 0]) / known.sum()
-        assert abs(got[r, c, 0] - want) <= 1e-9
+    # Rows 0-9, or columns 0-9, hold 1e15, far from every hole's window.
+    # Sums running down from row 0 or along from column 0 would carry them
+    # into every window and round the means by tens of levels; a window's
+    # own pixels give the exact window means to within 1e-9.
+    rows, columns = np.zeros((2, 64, 64), bool)
+    rows[40:45] = True
+    columns[:, 40:45] = True
+    for far, missing in (np.s_[:10], rows), (np.s_[:, :10], columns):
+        values = np.random.default_rng(34).uniform(0.0, 255.0, (64, 64, 1))
+        values[far] = 1e15
+        got = values.copy()
+        _fallback_fill(got, missing, *np.nonzero(missing))
+        for r, c in zip(*np.nonzero(missing)):
+            for half in range(1, 11):
+                window = np.s_[max(r - half, 0) : r + half + 1, max(c - half, 0) : c + half + 1]
+                known = ~missing[window]
+                if known.any():
+                    break
+            want = math.fsum(values[window][known, 0]) / known.sum()
+            assert abs(got[r, c, 0] - want) <= 1e-9
+
+
+def test_fallback_means_of_integer_windows_are_exact():
+    # A window whose known pixels are all integers has an exact sum, so
+    # its mean is the correctly rounded quotient, and a mean of exactly
+    # x.5 is saved as x + 1 whatever the order of addition. The holes10
+    # benchmark masks of seed 0 have 875 such windows, 83 with a .5 mean.
+    clean = natural_image()
+    rng = np.random.default_rng(0)
+    checked = 0
+    for _ in range(8):
+        missing = rng.random((512, 512)) < 0.10
+        values = apply_mask(clean, Mask(missing)).data.copy()
+        _, residual, rows, cols = _jacobi_rounds(values, missing, EngineConfig().max_passes)
+        before = values.copy()
+        _fallback_fill(values, residual, rows, cols)
+        for r, c in zip(rows, cols):
+            for half in range(1, 11):
+                window = np.s_[max(r - half, 0) : r + half + 1, max(c - half, 0) : c + half + 1]
+                known = ~residual[window]
+                if known.any():
+                    break
+            taps = before[window][known, 0]
+            if (taps == np.floor(taps)).all():
+                checked += 1
+                assert values[r, c, 0] == float(Fraction(int(taps.sum()), int(known.sum())))
+    assert checked == 875
 
 
 def test_inpaint_reads_no_row_far_from_the_holes():
-    # The rounds read 2 rows around a hole and the fallback's band at most
-    # 2 more, so rows more than 11 from every hole, here scaled to values
+    # The rounds read 2 rows around a hole and the fallback's rings at most
+    # 10, so rows more than 11 from every hole, here scaled to values
     # that would change the rounding of any sum through them, do not
     # change a byte of the other rows' output.
     rng = np.random.default_rng(35)
@@ -1073,8 +1104,9 @@ def test_inpaint_reads_no_row_far_from_the_holes():
 
 
 def test_fallback_memory_follows_hole_rows():
-    # Holes in the last 3 rows of 1024x1024 RGB: a whole-image table would
-    # take 32 MiB, but the windows read only the rows next to the holes.
+    # Holes in the last 3 rows of 1024x1024 RGB: whole-image summed-area
+    # tables would take 32 MiB, but the fallback holds a 1.1 MB int8 grid,
+    # the holes' indices and one chunk of ring taps.
     values = np.random.default_rng(23).uniform(0.0, 255.0, (1024, 1024, 3))
     missing = np.zeros((1024, 1024), bool)
     missing[-3:] = True
@@ -1089,8 +1121,9 @@ def test_fallback_memory_follows_hole_rows():
 
 
 def test_fallback_holds_sum_rows_in_blocks():
-    # One hole in every 16th row of 1024x1024 RGB: 128 rows hold a window
-    # edge, 3 MiB of summed-area rows if they were all held at once.
+    # One hole in every 16th row of 1024x1024 RGB: summed-area rows at the
+    # 128 rows that hold a window edge would take 3 MiB, but the fallback
+    # holds a 1.1 MB int8 grid and one chunk of ring taps.
     rng = np.random.default_rng(25)
     values = rng.uniform(0.0, 255.0, (1024, 1024, 3))
     missing = np.zeros((1024, 1024), bool)
@@ -1111,8 +1144,9 @@ def test_fallback_holds_sum_rows_in_blocks():
 
 @pytest.mark.parametrize("channels", [1, 3])
 def test_fallback_count_rows_are_bounded(channels):
-    # One hole in every 4th row of 1024x1024: nearly every table row is
-    # next to a hole row, so counts over all of them would take 4 MiB.
+    # One hole in every 4th row of 1024x1024: int32 known-pixel counts
+    # over every row would take 4 MiB, but the fallback's int8 grid of
+    # known flags takes 1.1 MB.
     rng = np.random.default_rng(29)
     values = rng.uniform(0.0, 255.0, (1024, 1024, channels))
     missing = np.zeros((1024, 1024), bool)
