@@ -14,8 +14,11 @@ _jacobi_rounds for how a round picks and predicts its holes.
 Pixels that never acquire a complete predictor line (deep hole
 interiors) are finished by the mean of the known pixels in the smallest
 centered odd window up to 21 x 21 that holds one, else 128; see
-_fallback_fill. An image with no known pixel is filled with 128 at
-once, with no round run. Every committed value is clamped to [0, 255].
+_fallback_fill. The rounds and the fallback keep one record of which
+pixels are missing, an int8 state grid padded by the fallback's reach,
+and one list of the holes left in it; see _jacobi_rounds. An image with
+no known pixel is filled with 128 at once, with no round run. Every
+committed value is clamped to [0, 255].
 Every round runs on the calling thread; the ``workers`` argument of the
 public functions is accepted and has no effect.
 """
@@ -42,7 +45,10 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class InpaintReport:
-    """Outcome of a full restoration run."""
+    """Outcome of a full restoration run: the restored image, the number
+    of holes each Jacobi round filled, and ``fallback_filled``, the
+    number of holes the rounds left, each of which the fallback filled
+    with its box mean or 128."""
 
     image: Image
     pass_fill_counts: tuple[int, ...]
@@ -88,8 +94,9 @@ def run_pass(values: np.ndarray, missing: np.ndarray, config: EngineConfig | Non
         raise DimensionMismatch(
             f"missing has shape {missing.shape} but values have grid {new_values.shape[:2]}"
         )
-    _, residual, _, _ = _jacobi_rounds(new_values, missing, 1)
-    filled = missing & ~residual
+    _, state, _ = _jacobi_rounds(new_values, missing, 1)
+    reach = _FALLBACK_REACH
+    filled = missing & (state[reach:-reach, reach:-reach] == 0)
     return (new_values[:, :, 0] if squeeze else new_values), filled
 
 
@@ -97,49 +104,55 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
     """Run fill rounds over the C-contiguous ``values`` in place until one
     fills nothing, no hole remains, or ``max_passes`` rounds have run.
 
-    Returns (fill counts per round, the residual missing set, and the
-    row and column indices of its pixels in row-major order). A hole's
-    slot availability depends only on the missing state of its 16
-    NEIGHBOR_OFFSETS pixels, so a hole that a round left unfilled can
+    Returns (fill counts per round, the state grid, the residual holes).
+    The state grid is the engine's one record of missingness: an int8
+    grid padded by _FALLBACK_REACH on every side that holds 0 at known
+    pixels, 1 at holes and 2 off the image, and to which _fallback_fill
+    adds -1 for the holes it fills at an earlier half-width. The holes
+    are a compacted list of their flat indices into it, in row-major
+    order, with _cells giving their image indices; a round clears a
+    filled hole's code to 0 and drops it from the list.
+
+    A hole's slot availability depends only on the missing state of its
+    16 NEIGHBOR_OFFSETS pixels, so a hole that a round left unfilled can
     become fillable only once one of those pixels is filled, and
     re-predicting it before then fills nothing. Each round after the
     first picks its candidates from the yield of the round before. When
     that round filled at least as many holes as remain, it re-checks
     every remaining hole. Otherwise it flags the 16 stencil neighbours of
-    each filled hole in a padded grid, made in the first round that needs
-    it, by one assignment per slice of at most _ROUND_CHUNK filled holes,
-    and re-predicts just the remaining holes that are flagged; when
-    there are none, the round fills 0 and ends the loop. Either way the
-    bytes are the same. The holes are kept as a compacted list of flat
-    indices into the padded missing set.
+    each filled hole in a bool array the size of the state grid, made in
+    the first round that needs it, by one assignment per slice of at most
+    _ROUND_CHUNK filled holes, and re-predicts just the remaining holes
+    that are flagged; when there are none, the round fills 0 and ends the
+    loop. Either way the bytes are the same.
 
     A round predicts its candidate holes in consecutive chunks of at most
     _ROUND_CHUNK (4096) and commits each chunk into ``values``, clamped to
     [0, 255], before the next. That is still one Jacobi round: a round
-    reads only pixels that were known before it, since the missing flags
-    change only between rounds, and writes only its holes. Its memory is
-    one chunk's temporaries plus the holes it filled, whatever the hole
-    count. The missing flags are read from a copy of ``degraded`` padded
-    by 2 on every side whose border counts as missing, so a hole's 16
-    neighbours sit at fixed flat offsets with no bounds checks. In a
-    chunk, one gather of those flags gives each line's completeness, and
-    one AND of the two diagonals' gives the surfaces', which each also
-    need their axis line. Each line's four taps are then read once, by
-    one ``np.take`` of whole pixels over a (4, holes) index at the holes
-    where that line is complete, so every tap read is a known pixel.
-    Those taps feed the line's slot and, for lines 1 and 0, the surface
-    slot 4 or 5 that weighs them. The outlier step rewrites the most
-    deviant line prediction with one ``np.where`` over all four. It runs
-    only in a chunk that has a hole with all four lines complete, the
-    only holes it can change.
+    reads only pixels that were known before it, since the state changes
+    only between rounds, and writes only its holes. Its memory is one
+    chunk's temporaries plus the holes it filled, whatever the hole
+    count. The padding counts as missing, so a hole's 16 neighbours sit
+    at fixed flat offsets with no bounds checks. In a chunk, one gather
+    of those codes gives each line's completeness, and one AND of the
+    two diagonals' gives the surfaces', which each also need their axis
+    line. Each line's four taps are then read once, by one ``np.take`` of
+    whole pixels over a (4, holes) index at the holes where that line is
+    complete, so every tap read is a known pixel. Those taps feed the
+    line's slot and, for lines 1 and 0, the surface slot 4 or 5 that
+    weighs them. The outlier step rewrites the most deviant line
+    prediction with one ``np.where`` over all four. It runs only in a
+    chunk that has a hole with all four lines complete, the only holes
+    it can change.
     """
     height, width, channels = values.shape
-    stride = width + 4
-    padded = np.zeros((height + 4, stride), dtype=bool)
-    padded[2:-2, 2:-2] = degraded
-    holes = np.flatnonzero(padded)
-    padded[:2] = padded[-2:] = padded[:, :2] = padded[:, -2:] = True
-    missing_at = padded.ravel()
+    reach = _FALLBACK_REACH
+    stride = width + 2 * reach
+    grid = np.full((height + 2 * reach, stride), 2, dtype=np.int8)
+    grid[reach:-reach, reach:-reach] = degraded
+    state = grid.ravel()
+    # From a bool array: np.flatnonzero scans one much faster than int8.
+    holes = np.flatnonzero(state == 1)
     offsets = np.array([dr * stride + dc for dr, dc in NEIGHBOR_OFFSETS]).reshape(4, 4, 1)  # a row per line
     taps = np.array([dr * width + dc for dr, dc in NEIGHBOR_OFFSETS]).reshape(4, 4, 1)  # a row per line
     # Slots 0-3 weigh their own line; surface slot 5 - d weighs line d < 2.
@@ -151,14 +164,13 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
     # A function, so that a chunk's arrays are freed when it returns,
     # before the next chunk, the bookkeeping and the next round run.
     def fill_chunk(chunk: np.ndarray) -> np.ndarray:
-        complete = ~missing_at[offsets + chunk].any(axis=1)  # (4 lines, chunk)
+        complete = ~state[offsets + chunk].any(axis=1)  # (4 lines, chunk)
         # Every slot needs the line it weighs, so a hole is fillable when
         # one of its lines is complete.
         fillable = complete.any(axis=0)
         complete = np.compress(fillable, complete, axis=1)
         filled = chunk[fillable]
-        rows, cols = np.divmod(filled, stride)
-        cells = (rows - 2) * width + (cols - 2)
+        cells = _cells(filled, width)
         # Surface slots 4 and 5 need line 1 or 0 and both diagonals.
         diagonals = complete[2] & complete[3]
 
@@ -196,8 +208,8 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
         fill_counts.append(done.size)
         if done.size == 0:
             break
-        missing_at[done] = False
-        holes = holes[missing_at[holes]]
+        state[done] = 0
+        holes = holes[state[holes] == 1]
         if done.size >= holes.size:
             # Re-checking every remaining hole costs less than 16 flag
             # writes per filled hole, and a hole whose stencil the round
@@ -205,7 +217,7 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
             candidates = holes
             continue
         if near_filled is None:
-            near_filled = np.zeros_like(missing_at)
+            near_filled = np.zeros(state.size, dtype=bool)
         # A (16, slice) index is no larger than a chunk's offsets + chunk.
         for i in range(0, done.size, _ROUND_CHUNK):
             near_filled[done[i : i + _ROUND_CHUNK] - offsets.reshape(16, 1)] = True
@@ -213,8 +225,14 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
         # those is enough; flags left on known pixels are never seen.
         candidates = holes[near_filled[holes]]
         near_filled[candidates] = False
-    rows, cols = np.divmod(holes, stride)
-    return fill_counts, padded[2:-2, 2:-2], rows - 2, cols - 2
+    return fill_counts, grid, holes
+
+
+def _cells(at: np.ndarray, width: int) -> np.ndarray:
+    """The image flat indices of the state grid's flat indices ``at``,
+    for an image ``width`` pixels wide."""
+    rows, cols = np.divmod(at, width + 2 * _FALLBACK_REACH)
+    return (rows - _FALLBACK_REACH) * width + (cols - _FALLBACK_REACH)
 
 
 def _ring(half: int) -> tuple[np.ndarray, np.ndarray]:
@@ -226,11 +244,12 @@ def _ring(half: int) -> tuple[np.ndarray, np.ndarray]:
     return dr[on, None], dc[on, None]
 
 
-def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> int:
-    """Fill the residual holes at (``rows``, ``cols``), which are all the
-    pixels of ``missing`` in row-major order, with the mean of the known
-    pixels in the smallest centered odd window up to 21 x 21 that
-    contains one (else 128), clamped to [0, 255]. Mutates ``values``.
+def _fallback_fill(values: np.ndarray, state: np.ndarray, pending: np.ndarray) -> None:
+    """Fill the residual holes ``pending``, the flat indices of every hole
+    left in the state grid ``state`` in row-major order (see
+    _jacobi_rounds), with the mean of the known pixels in the smallest
+    centered odd window up to 21 x 21 that contains one (else 128),
+    clamped to [0, 255]. Mutates ``values`` and ``state``.
 
     A window grows past half-width h - 1 only while it holds no known
     pixel, so the known pixels of the window it stops at all lie on its
@@ -238,44 +257,33 @@ def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, co
     mean is theirs. A pending hole's ring at h holds a known pixel
     exactly when one of its 8 neighbours is known or was filled at a
     half-width below h: a known pixel at distance h lies at h - 1 from a
-    neighbour, and none lies nearer. An int8 grid, padded by the reach
-    on every side, holds 0 at known pixels, 1 at holes and off the
-    image, and -1 at holes filled at an earlier half-width. Each
-    half-width first checks the neighbours of every pending hole, then
-    reads the rings of the holes that pass, and marks them -1 only
-    after, so no check sees a hole filled at the same half-width. A ring
-    is one ``np.take`` of whole pixels, multiplied by the grid's known
-    flags, so no value stored or written at a hole enters a mean. Its
-    taps are added in one fixed order, one ring pixel at a time, so a
-    hole's mean depends neither on its chunk nor on the channel count.
-    A ring of integer pixels (below 2**46 in magnitude) has an exact
-    sum, so its mean is the correctly rounded quotient.
+    neighbour, and none lies nearer. The grid's padding is the reach, so
+    every ring lies inside it. Each half-width first checks the neighbours
+    of every pending hole for a code of 0 or -1, then reads the rings of
+    the holes that pass, and marks them -1 only after, so no check sees
+    a hole filled at the same half-width. A ring is one ``np.take`` of
+    whole pixels, multiplied by the grid's known flags, so no value
+    stored or written at a hole enters a mean. Its taps are added in one
+    fixed order, one ring pixel at a time, so a hole's mean depends
+    neither on its chunk nor on the channel count. A ring of integer
+    pixels (below 2**46 in magnitude) has an exact sum, so its mean is
+    the correctly rounded quotient.
 
-    The memory is the grid, one byte per padded pixel, 8 bytes per
-    pending hole (its padded flat index; a split into found and pending
-    holds about twice that plus a flag byte) and one chunk's
-    temporaries: the neighbour check takes _ROUND_CHUNK holes at a time
-    and a ring read _ROUND_CHUNK // h, at most 8 * _ROUND_CHUNK taps.
-    The grid grows with the image, whatever rows hold the holes.
+    Beside ``pending``, the memory is about 18 bytes per pending hole
+    (its split into found and pending, and the flags that split it) and
+    one chunk's temporaries: the neighbour check takes _ROUND_CHUNK holes
+    at a time and a ring read _ROUND_CHUNK // h, at most 8 * _ROUND_CHUNK
+    taps. Nothing grows with the image.
     """
-    if rows.size == 0:
-        return 0
-    height, width, channels = values.shape
-    reach = _FALLBACK_REACH
-    stride = width + 2 * reach
-    grid = np.ones((height + 2 * reach, stride), dtype=np.int8)
-    grid[reach:-reach, reach:-reach] = missing
-    state = grid.ravel()
+    width, channels = values.shape[1:]
+    stride = state.shape[1]
+    state = state.ravel()
     flat = values.reshape(-1, channels)
-    pending = (rows + reach) * stride + (cols + reach)
-
-    def cells(at: np.ndarray) -> np.ndarray:
-        grid_rows, grid_cols = np.divmod(at, stride)
-        return (grid_rows - reach) * width + (grid_cols - reach)
-
     dr, dc = _ring(1)
     neighbours = dr * stride + dc
-    for half in range(1, reach + 1):
+    for half in range(1, _FALLBACK_REACH + 1):
+        if pending.size == 0:
+            break
         dr, dc = _ring(half)
         grid_taps, image_taps = dr * stride + dc, dr * width + dc
         step = max(_ROUND_CHUNK // half, 1)
@@ -286,7 +294,7 @@ def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, co
         for i in range(0, found.size, step):
             chunk = found[i : i + step]
             known = state[grid_taps + chunk] == 0
-            at = cells(chunk)
+            at = _cells(chunk, width)
             taps = np.take(flat, image_taps + at, axis=0, mode="clip")
             taps *= known[:, :, None]
             # Row by row, not taps.sum(axis=0), which adds pairwise or
@@ -296,10 +304,7 @@ def _fallback_fill(values: np.ndarray, missing: np.ndarray, rows: np.ndarray, co
                 sums += row
             flat[at] = np.clip(sums / known.sum(axis=0)[:, None], 0.0, 255.0)
         state[found] = -1
-        if pending.size == 0:
-            break
-    flat[cells(pending)] = 128.0
-    return rows.size
+    flat[_cells(pending, width)] = 128.0
 
 
 def inpaint_report(image: Image, mask: Mask, config: EngineConfig | None = None, workers: int = 1) -> InpaintReport:
@@ -320,9 +325,9 @@ def inpaint_report(image: Image, mask: Mask, config: EngineConfig | None = None,
         data = np.full(image.data.shape, 128.0)
         return InpaintReport(image=_finite_image(data), pass_fill_counts=(0,), fallback_filled=mask.degraded.size)
     values = image.data.copy()
-    fill_counts, missing, rows, cols = _jacobi_rounds(values, mask.degraded, config.max_passes)
-    fallback_count = _fallback_fill(values, missing, rows, cols)
-    return InpaintReport(image=_finite_image(values), pass_fill_counts=tuple(fill_counts), fallback_filled=fallback_count)
+    fill_counts, state, holes = _jacobi_rounds(values, mask.degraded, config.max_passes)
+    _fallback_fill(values, state, holes)
+    return InpaintReport(image=_finite_image(values), pass_fill_counts=tuple(fill_counts), fallback_filled=holes.size)
 
 
 def inpaint(image: Image, mask: Mask, config: EngineConfig | None = None, workers: int = 1) -> Image:

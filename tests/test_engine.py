@@ -27,7 +27,7 @@ from linemend import (
     ssim,
 )
 from linemend import engine
-from linemend.engine import _fallback_fill, _jacobi_rounds
+from linemend.engine import _cells, _fallback_fill, _jacobi_rounds
 from linemend.kernels import DIRECTION_VECTORS, NEIGHBOR_OFFSETS
 
 from conftest import natural_image
@@ -190,9 +190,9 @@ def test_fill_round_zero_holes():
     values[missing] = 0.0
     after_one = values.copy()
     _jacobi_rounds(after_one, missing, 1)
-    fill_counts, residual, _, _ = _jacobi_rounds(values, missing, 64)
+    fill_counts, state, holes = _jacobi_rounds(values, missing, 64)
     assert fill_counts == [1, 0]
-    assert np.array_equal(residual, band)
+    assert np.array_equal(residual_holes(state, holes, missing), band)
     assert values.tobytes() == after_one.tobytes()
 
 
@@ -212,7 +212,8 @@ def test_fill_round_reads_only_known_pixels():
         values = known.copy()
         values[missing] = placeholders
         with mock.patch.object(engine, "_ROUND_CHUNK", chunk), np.errstate(all="raise"):
-            fill_counts, residual, _, _ = _jacobi_rounds(values, missing, 64)
+            fill_counts, state, holes = _jacobi_rounds(values, missing, 64)
+        residual = residual_holes(state, holes, missing)
 
         # The same rounds over finite placeholders commit the same values.
         expected = known.copy()
@@ -243,27 +244,48 @@ def test_chunked_rounds_match_one_chunk(height, width, channels, density, seed):
     assert_chunk_size_is_invisible(values, missing)
 
 
+def residual_holes(state, holes, missing):
+    """The residual holes of the state grid and hole list that
+    _jacobi_rounds returned for the missing set ``missing``, as a mask,
+    after checking the layout that _fallback_fill relies on: a border of
+    2 as wide as the reach, an interior of 1 exactly at the residual
+    holes, all of them in ``missing``, and 0 elsewhere, and ``holes``
+    their flat indices in row-major order, which _cells maps to the
+    image's."""
+    reach = engine._FALLBACK_REACH
+    interior = state[reach:-reach, reach:-reach]
+    residual = interior == 1
+    assert state.dtype == np.int8
+    assert np.array_equal(np.pad(interior, reach, constant_values=2), state)
+    assert np.array_equal(interior, residual) and not (residual & ~missing).any()
+    assert (np.diff(holes) > 0).all()
+    assert np.array_equal(_cells(holes, missing.shape[1]), np.flatnonzero(residual))
+    return residual
+
+
 def assert_chunk_size_is_invisible(values, missing):
     """A round reads only pixels known before it, so committing each chunk
     before the next changes neither a value's bytes nor the round it is
     filled in, whatever the chunk size; nor does the number of slices its
     near-fill flags are set in."""
     want = values.copy()
-    fill_counts, residual, rows, cols = _jacobi_rounds(want, missing, 64)
+    fill_counts, state, holes = _jacobi_rounds(want, missing, 64)
+    residual = residual_holes(state, holes, missing)
+    assert sum(fill_counts) + residual.sum() == missing.sum()
     for chunk in (1, 5, 64):
         got = values.copy()
         with mock.patch.object(engine, "_ROUND_CHUNK", chunk):
             result = _jacobi_rounds(got, missing, 64)
         assert got.tobytes() == want.tobytes()
         assert result[0] == fill_counts
-        assert np.array_equal(result[1], residual)
-        assert np.array_equal(result[2], rows) and np.array_equal(result[3], cols)
+        assert np.array_equal(result[1], state)
+        assert np.array_equal(result[2], holes)
 
 
 def test_jacobi_rounds_peak_on_sparse_holes():
     # 10% i.i.d. holes on 512x512 gray: 26 thousand candidate holes in the
     # first round, predicted in chunks of 4096, so the rounds add about
-    # 1.34 MB to the 2.1 MB image. Round 1 fills all but 515 holes, so
+    # 1.30 MB to the 2.1 MB image. Round 1 fills all but 515 holes, so
     # round 2 re-checks those without a flag grid.
     values = natural_image().data.copy()
     missing = np.random.default_rng(0).random((512, 512)) < 0.1
@@ -280,12 +302,12 @@ def test_jacobi_rounds_peak_does_not_stack():
     # 50% i.i.d. holes on 512x512 take 51 rounds. Each round's arrays are
     # freed before the next one runs, so the peak is one round's, not a
     # sum over rounds, and a round's temporaries are one chunk's: about
-    # 3.33 MB.
+    # 3.37 MB.
     values = natural_image().data.copy()
     missing = np.random.default_rng(1).random((512, 512)) < 0.5
     tracemalloc.start()
     try:
-        fill_counts, _, _, _ = _jacobi_rounds(values, missing, 64)
+        fill_counts, _, _ = _jacobi_rounds(values, missing, 64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -681,9 +703,9 @@ def test_run_pass_without_known_pixels_fills_nothing():
 
 def test_inpaint_fully_masked_runs_no_round():
     # With no known pixel no slot is ever available, so the round of 0 is
-    # reported without being run, and no hole list is built: the peak is
-    # the 6.3 MB image of 128s. The hole list and its rows and columns
-    # would take it to 13.1 MB.
+    # reported without being run, and no state grid or hole list is built:
+    # the peak is the 6.3 MB image of 128s. Running the rounds and the
+    # fallback over that grid and list would take it to 19.4 MB.
     image = Image(np.random.default_rng(9).uniform(0.0, 255.0, (512, 512, 3)))
     mask = Mask(np.ones((512, 512), bool))
     tracemalloc.start()
@@ -824,17 +846,25 @@ def test_fallback_window_limit_gives_128():
     assert out.data[0, 1, 0] == 200.0
 
 
+def fallback_fill(values, missing):
+    """_fallback_fill over the residual holes ``missing``, in the state
+    grid and hole list that _jacobi_rounds builds for them when it runs
+    no round. Mutates ``values``; returns the number of holes."""
+    _, state, holes = _jacobi_rounds(values, missing, 0)
+    _fallback_fill(values, state, holes)
+    return holes.size
+
+
 def _check_fallback(values, missing):
     # Within tau of the oracle, and the same bytes with one hole per chunk.
     want = values.copy()
     want_count = fallback_oracle(want, missing)
     got = values.copy()
-    got_count = _fallback_fill(got, missing, *np.nonzero(missing))
-    assert got_count == want_count
+    assert fallback_fill(got, missing) == want_count
     assert_fallback_close(got, want, values, missing)
     smallest = values.copy()
     with mock.patch.object(engine, "_ROUND_CHUNK", 1):
-        _fallback_fill(smallest, missing, *np.nonzero(missing))
+        fallback_fill(smallest, missing)
     assert smallest.tobytes() == got.tobytes()
 
 
@@ -964,9 +994,8 @@ def clipped_windows():
 @example(case=widest_window_lower())
 @example(case=clipped_windows())
 @given(case=tall_sparse_holes())
-def test_fallback_matches_oracle_across_blocks(case):
-    with mock.patch.object(engine, "_ROUND_CHUNK", 1):
-        _check_fallback(*case)
+def test_fallback_matches_oracle_on_tall_sparse_holes_and_widest_rings(case):
+    _check_fallback(*case)
 
 
 @pytest.mark.parametrize("channels", [1, 3])
@@ -1002,7 +1031,7 @@ def test_fallback_ignores_residual_hole_contents(channels):
             for stored in (0.0, -0.0, -7.5, 1e300):
                 got = values.copy()
                 got[missing] = stored
-                _fallback_fill(got, missing, *np.nonzero(missing))
+                fallback_fill(got, missing)
                 results.append(got)
     assert all(got.tobytes() == results[0].tobytes() for got in results)
     assert_fallback_close(results[0], want, values, missing)
@@ -1015,7 +1044,8 @@ def rgb1024():
 
 def _check_fallback_after_rounds(image, mask):
     values = image.data.copy()
-    _, missing, _, _ = _jacobi_rounds(values, mask.degraded, EngineConfig().max_passes)
+    _, state, holes = _jacobi_rounds(values, mask.degraded, EngineConfig().max_passes)
+    missing = residual_holes(state, holes, mask.degraded)
     assert missing.any()
     _check_fallback(values, missing)
 
@@ -1046,7 +1076,7 @@ def test_fallback_means_ignore_large_rows_above_the_band():
         values = np.random.default_rng(34).uniform(0.0, 255.0, (64, 64, 1))
         values[far] = 1e15
         got = values.copy()
-        _fallback_fill(got, missing, *np.nonzero(missing))
+        fallback_fill(got, missing)
         for r, c in zip(*np.nonzero(missing)):
             for half in range(1, 11):
                 window = np.s_[max(r - half, 0) : r + half + 1, max(c - half, 0) : c + half + 1]
@@ -1068,10 +1098,11 @@ def test_fallback_means_of_integer_windows_are_exact():
     for _ in range(8):
         missing = rng.random((512, 512)) < 0.10
         values = apply_mask(clean, Mask(missing)).data.copy()
-        _, residual, rows, cols = _jacobi_rounds(values, missing, EngineConfig().max_passes)
+        _, state, holes = _jacobi_rounds(values, missing, EngineConfig().max_passes)
+        residual = residual_holes(state, holes, missing)
         before = values.copy()
-        _fallback_fill(values, residual, rows, cols)
-        for r, c in zip(rows, cols):
+        _fallback_fill(values, state, holes)
+        for r, c in zip(*np.nonzero(residual)):
             for half in range(1, 11):
                 window = np.s_[max(r - half, 0) : r + half + 1, max(c - half, 0) : c + half + 1]
                 known = ~residual[window]
@@ -1103,62 +1134,40 @@ def test_inpaint_reads_no_row_far_from_the_holes():
     assert restored[~far].tobytes() == report.image.data[~far].tobytes()
 
 
-def test_fallback_memory_follows_hole_rows():
-    # Holes in the last 3 rows of 1024x1024 RGB: whole-image summed-area
-    # tables would take 32 MiB, but the fallback holds a 1.1 MB int8 grid,
-    # the holes' indices and one chunk of ring taps.
-    values = np.random.default_rng(23).uniform(0.0, 255.0, (1024, 1024, 3))
-    missing = np.zeros((1024, 1024), bool)
-    missing[-3:] = True
-    rows, cols = np.nonzero(missing)
-    tracemalloc.start()
-    try:
-        _fallback_fill(values, missing, rows, cols)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
-
-
-def test_fallback_holds_sum_rows_in_blocks():
-    # One hole in every 16th row of 1024x1024 RGB: summed-area rows at the
-    # 128 rows that hold a window edge would take 3 MiB, but the fallback
-    # holds a 1.1 MB int8 grid and one chunk of ring taps.
-    rng = np.random.default_rng(25)
-    values = rng.uniform(0.0, 255.0, (1024, 1024, 3))
-    missing = np.zeros((1024, 1024), bool)
-    missing[np.arange(8, 1024, 16), rng.integers(0, 1024, 64)] = True
-    before = values.copy()
-    want = values.copy()
-    fallback_oracle(want, missing)
-    rows, cols = np.nonzero(missing)
-    tracemalloc.start()
-    try:
-        _fallback_fill(values, missing, rows, cols)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5e6
-    assert_fallback_close(values, want, before, missing)
-
-
-@pytest.mark.parametrize("channels", [1, 3])
-def test_fallback_count_rows_are_bounded(channels):
-    # One hole in every 4th row of 1024x1024: int32 known-pixel counts
-    # over every row would take 4 MiB, but the fallback's int8 grid of
-    # known flags takes 1.1 MB.
-    rng = np.random.default_rng(29)
+@pytest.mark.parametrize(
+    "seed, channels, hole_rows, whole_rows, bound",
+    [
+        pytest.param(23, 3, np.s_[-3:], True, 4e6, id="last_3_rows"),
+        pytest.param(25, 3, np.s_[8::16], False, 2.5e6, id="one_hole_every_16th_row"),
+        pytest.param(29, 1, np.s_[::4], False, 2.5e6, id="one_hole_every_4th_row_gray"),
+        pytest.param(29, 3, np.s_[::4], False, 2.5e6, id="one_hole_every_4th_row_rgb"),
+    ],
+)
+def test_fallback_memory_is_bounded(seed, channels, hole_rows, whole_rows, bound):
+    # Holes in the last 3 rows, or one in every 16th or 4th row, of
+    # 1024x1024. The traced region builds the 1.1 MB state grid and the
+    # hole list, as the rounds would, and runs the fallback, which adds
+    # one chunk of ring taps and the pending holes' indices and flags,
+    # nothing that grows with the image.
+    rng = np.random.default_rng(seed)
     values = rng.uniform(0.0, 255.0, (1024, 1024, channels))
     missing = np.zeros((1024, 1024), bool)
-    missing[np.arange(0, 1024, 4), rng.integers(0, 1024, 256)] = True
-    rows, cols = np.nonzero(missing)
+    rows = np.arange(1024)[hole_rows]
+    if whole_rows:
+        missing[rows] = True
+    else:
+        missing[rows, rng.integers(0, 1024, rows.size)] = True
+    want = values.copy()
+    fallback_oracle(want, missing)
+    got = values.copy()
     tracemalloc.start()
     try:
-        _fallback_fill(values, missing, rows, cols)
+        fallback_fill(got, missing)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5e6
+    assert peak < bound
+    assert_fallback_close(got, want, values, missing)
 
 
 def test_fallback_without_known_pixels_writes_in_place():
@@ -1167,8 +1176,7 @@ def test_fallback_without_known_pixels_writes_in_place():
     # before the rounds; the fallback's window search gets it right too.
     values = np.random.default_rng(30).uniform(0.0, 255.0, (30, 25, 3))
     missing = np.ones((30, 25), bool)
-    rows, cols = np.nonzero(missing)
-    assert _fallback_fill(values, missing, rows, cols) == 30 * 25
+    assert fallback_fill(values, missing) == 30 * 25
     assert (values == 128.0).all()
 
 
