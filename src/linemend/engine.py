@@ -151,8 +151,11 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
     grid = np.full((height + 2 * reach, stride), 2, dtype=np.int8)
     grid[reach:-reach, reach:-reach] = degraded
     state = grid.ravel()
-    # From a bool array: np.flatnonzero scans one much faster than int8.
-    holes = np.flatnonzero(state == 1)
+    # The image indices of the holes, from the bool mask (np.flatnonzero
+    # scans bool much faster than int8, and this makes no temporary the
+    # size of the grid), shifted in place by the padding before their row.
+    holes = np.flatnonzero(degraded)
+    holes += holes // width * (2 * reach) + (reach * stride + reach)
     offsets = np.array([dr * stride + dc for dr, dc in NEIGHBOR_OFFSETS]).reshape(4, 4, 1)  # a row per line
     taps = np.array([dr * width + dc for dr, dc in NEIGHBOR_OFFSETS]).reshape(4, 4, 1)  # a row per line
     # Slots 0-3 weigh their own line; surface slot 5 - d weighs line d < 2.

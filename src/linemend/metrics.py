@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .raster import DimensionMismatch, Image, require_same_grid
 
@@ -70,23 +69,30 @@ _SPAN = 64
 def _windowed_mean(plane: np.ndarray) -> np.ndarray:
     # Separable Gaussian-weighted mean at every fully interior (valid)
     # window position of the last two axes: (..., h, w) -> (..., h-10, w-10).
-    # The window views have the shape and strides that sliding_window_view
-    # gives them, which keeps the BLAS call, without its argument checks.
+    # Each window view is an ndarray built on its source's buffer with the
+    # shape and strides that sliding_window_view gives it, so BLAS gets the
+    # same operands, without the argument checks of either wrapper. A plane
+    # whose memory is not contiguous has no such buffer: ValueError.
     *lead, height, width = plane.shape
     down = (*lead, height - _WINDOW + 1, width, _WINDOW)
-    v = as_strided(plane, down, (*plane.strides, plane.strides[-2]), writeable=False) @ _GAUSS
+    v = np.ndarray(down, plane.dtype, plane, 0, (*plane.strides, plane.strides[-2])) @ _GAUSS
     across = (*lead, height - _WINDOW + 1, width - _WINDOW + 1, _WINDOW)
-    return as_strided(v, across, (*v.strides, v.strides[-1]), writeable=False) @ _GAUSS
+    return np.ndarray(across, v.dtype, v, 0, (*v.strides, v.strides[-1])) @ _GAUSS
 
 
 def _ssim_map(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-window SSIM of two 2-D luminance arrays."""
-    mu_x, mu_y, xx, yy, xy = _windowed_mean(np.stack([x, y, x * x, y * y, x * y]))
-    var_x = xx - mu_x * mu_x
-    var_y = yy - mu_y * mu_y
-    cov = xy - mu_x * mu_y
-    return ((2.0 * mu_x * mu_y + _C1) * (2.0 * cov + _C2)) / (
-        (mu_x * mu_x + mu_y * mu_y + _C1) * (var_x + var_y + _C2)
+    planes = np.empty((5, *x.shape))
+    planes[0], planes[1] = x, y
+    np.multiply(x, x, out=planes[2])
+    np.multiply(y, y, out=planes[3])
+    np.multiply(x, y, out=planes[4])
+    mu_x, mu_y, xx, yy, xy = _windowed_mean(planes)
+    del planes
+    mu_xx, mu_yy, mu_xy = mu_x * mu_x, mu_y * mu_y, mu_x * mu_y
+    # 2 * (mu_x * mu_y) is 2 * mu_x * mu_y to the bit: doubling is exact.
+    return ((2.0 * mu_xy + _C1) * (2.0 * (xy - mu_xy) + _C2)) / (
+        (mu_xx + mu_yy + _C1) * ((xx - mu_xx) + (yy - mu_yy) + _C2)
     )
 
 
@@ -103,10 +109,19 @@ def ssim(reference: Image, test: Image) -> float:
     most the image width; a longer run takes several slices. Its vertical
     means then stay on the BLAS kernel's main loop, as a whole-image pass
     (the tests' ssim_oracle) runs them for every column of an image whose
-    width is a multiple of 8, so the two agree bit for bit. Memory is the
-    grid of window scores plus one slice of at most 64 pixel columns,
+    width is a multiple of 8, so the two agree bit for bit. A slice's
+    five planes (x, y, x^2, y^2, xy) are written into one buffer, whose
+    window views are built on it directly, and the buffer is freed once
+    its means are taken, before the score arithmetic. Memory is the grid
+    of window scores plus one slice of at most 64 pixel columns,
     whatever the difference.
     """
+    return float(_score_grid(reference, test).mean())
+
+
+def _score_grid(reference: Image, test: Image) -> np.ndarray:
+    """The SSIM of every valid window position, a (height - 10, width -
+    10) grid; see ssim."""
     _require_comparable(reference, test)
     height, width = reference.height, reference.width
     if height < _WINDOW or width < _WINDOW:
@@ -116,11 +131,12 @@ def ssim(reference: Image, test: Image) -> float:
     ref, tst = reference.data, test.data
     differs = (ref != tst).any(axis=2)
     grid = np.ones((height - _WINDOW + 1, width - _WINDOW + 1))
+    footprint = np.ones(_WINDOW)
     for top in range(0, height - _WINDOW + 1, _STRIP):
         rows = slice(top, top + _STRIP + _WINDOW - 1)
         # Window columns whose footprint in the strip holds a differing
         # pixel, and the edges of their runs.
-        dirty = np.convolve(differs[rows].any(axis=0), np.ones(_WINDOW), "valid") > 0
+        dirty = np.convolve(differs[rows].any(axis=0), footprint, "valid") > 0
         edges = np.flatnonzero(np.diff(np.concatenate(([False], dirty, [False]))))
         for first, stop in zip(edges[::2].tolist(), edges[1::2].tolist()):
             while first < stop:
@@ -135,4 +151,4 @@ def ssim(reference: Image, test: Image) -> float:
                     _luminance(ref[rows, cols]), _luminance(tst[rows, cols])
                 )
                 first = left + span - _WINDOW + 1
-    return float(grid.mean())
+    return grid

@@ -22,9 +22,11 @@ from linemend import (
 )
 from linemend import metrics
 
+from conftest import natural_image
 
-def ssim_oracle(reference, test):
-    """Whole-image SSIM: every valid 11x11 window scored, then averaged."""
+
+def ssim_oracle_map(reference, test):
+    """Whole-image SSIM map: every valid 11x11 window scored."""
     def luminance(d):
         if d.shape[2] == 1:
             return d[:, :, 0]
@@ -44,10 +46,14 @@ def ssim_oracle(reference, test):
     var_y = windowed_mean(y * y) - mu_y * mu_y
     cov = windowed_mean(x * y) - mu_x * mu_y
     c1, c2 = (0.01 * 255.0) ** 2, (0.03 * 255.0) ** 2
-    score = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
+    return ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
         (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
     )
-    return float(score.mean())
+
+
+def ssim_oracle(reference, test):
+    """Whole-image SSIM: every valid 11x11 window scored, then averaged."""
+    return float(ssim_oracle_map(reference, test).mean())
 
 
 def test_psnr_identical_is_inf():
@@ -219,7 +225,7 @@ def _pair_differing_at(height, width, pixels, seed=40):
     return Image(reference), Image(test)
 
 
-@pytest.mark.parametrize("height, width, pixels", [
+_STRIP_RUNS = [
     # Window column 53, the last of 54: the run's 16-pixel slice moves
     # left to end at the right edge.
     (40, 64, [(20, 63)]),
@@ -233,13 +239,16 @@ def _pair_differing_at(height, width, pixels, seed=40):
     # window columns, scored as three 64-pixel slices and a 40-pixel one
     # moved left to end at the right edge.
     (40, 200, [(20, c) for c in range(200)]),
-])
+]
+
+
+@pytest.mark.parametrize("height, width, pixels", _STRIP_RUNS)
 def test_ssim_strip_runs_equal_oracle(height, width, pixels):
     reference, test = _pair_differing_at(height, width, pixels)
     with mock.patch.object(metrics, "_ssim_map", wraps=metrics._ssim_map) as scored:
         assert ssim(reference, test) == ssim_oracle(reference, test)
-    # A last-bit difference in one window is lost in the mean; slices a
-    # multiple of 8 pixels wide match the oracle window for window.
+    # Slices a multiple of 8 pixels wide match the oracle window for
+    # window (test_score_grid_equals_oracle_map_on_strip_runs).
     widths = [call.args[0].shape[1] for call in scored.call_args_list]
     assert widths and all(w % 8 == 0 and w <= 64 for w in widths), widths
 
@@ -317,3 +326,41 @@ def test_windowed_mean_matches_sliding_window_views(shape):
     want = _windowed_mean_by_views(plane)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("index", [np.s_[..., ::2], np.s_[:, ::2], np.s_[:, :, ::-1], np.s_[::2]])
+def test_windowed_mean_rejects_a_plane_that_is_not_contiguous(index):
+    # The window views are built on the plane's buffer with the plane's
+    # strides, so a plane whose memory has gaps or runs backwards is
+    # refused rather than read as if it were contiguous.
+    plane = np.random.default_rng(41).uniform(0.0, 255.0, (5, 26, 64))[index]
+    with pytest.raises(ValueError, match="contiguous"):
+        metrics._windowed_mean(plane)
+
+
+# A last-bit difference in one window is lost in the mean, so these
+# compare every window score with the oracle's.
+def test_score_grid_equals_oracle_map_on_width_cells(natural512):
+    for width in range(1, 16):
+        for seed in (0, 1):
+            mask = generate_line_mask(512, 512, LineSpec(count=2, width=width, seed=seed))
+            restored = inpaint(apply_mask(natural512, mask), mask)
+            got = metrics._score_grid(natural512, restored)
+            assert got.tobytes() == ssim_oracle_map(natural512, restored).tobytes(), (width, seed)
+
+
+@pytest.mark.parametrize("height, width, pixels", _STRIP_RUNS)
+def test_score_grid_equals_oracle_map_on_strip_runs(height, width, pixels):
+    reference, test = _pair_differing_at(height, width, pixels)
+    assert metrics._score_grid(reference, test).tobytes() == ssim_oracle_map(reference, test).tobytes()
+
+
+def test_score_grid_equals_oracle_map_on_an_rgb_pair():
+    # Three natural channels, 136 pixels wide, restored from three
+    # width-3 lines: the slices are scored on luminance.
+    reference = Image(np.stack([natural_image(96, 136, seed).data[:, :, 0] for seed in (7, 8, 9)], axis=2))
+    mask = generate_line_mask(136, 96, LineSpec(count=3, width=3, seed=5))
+    restored = inpaint(apply_mask(reference, mask), mask)
+    got = metrics._score_grid(reference, restored)
+    assert got.shape == (86, 126)
+    assert got.tobytes() == ssim_oracle_map(reference, restored).tobytes()
