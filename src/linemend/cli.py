@@ -11,12 +11,10 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .degrade import LineSpec, apply_mask, generate_line_mask
 from .engine import EngineConfig, inpaint, inpaint_report
 from .metrics import psnr, ssim
-from .raster import Image, load_pnm, mask_from_pgm, mask_to_pgm, save_pnm
+from .raster import Image, _require_count, load_pnm, mask_from_pgm, mask_to_pgm, save_pnm
 
 SWEEP_CSV_HEADER = "param_name,param_value,seed,psnr_db,ssim"
 
@@ -35,18 +33,17 @@ def run_sweep(image: Image, mode: str, lo: int, hi: int, seeds: int) -> list[Swe
 
     mode "lines" sweeps the defect-line count at width 1; mode "width"
     sweeps the line width with two lines. Records are ordered by
-    (param_value, seed). Raises ValueError, before the first cell runs,
-    on an unknown mode, a bool or other non-integer ``lo``, ``hi`` or
-    ``seeds``, fewer than one seed, an empty range or a largest value
-    whose mask ``generate_line_mask`` cannot draw on the image.
+    (param_value, seed). ``lo`` and ``hi`` must be integers >= 0 and
+    ``seeds`` an integer >= 1, by the count rule of ``LineSpec`` and
+    ``EngineConfig`` (a bool is not an integer). Raises ValueError, before
+    the first cell runs, on an unknown mode, a count that breaks that
+    rule, an empty range or a largest value whose mask
+    ``generate_line_mask`` cannot draw on the image.
     """
     if mode not in ("lines", "width"):
         raise ValueError(f"unknown sweep mode {mode!r}")
-    for name, n in (("lo", lo), ("hi", hi), ("seeds", seeds)):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {n!r}")
-    if seeds < 1:
-        raise ValueError(f"seeds must be >= 1, got {seeds}")
+    for name, n, low in (("lo", lo, 0), ("hi", hi, 0), ("seeds", seeds, 1)):
+        _require_count(name, n, low)
     if lo > hi:
         raise ValueError(f"empty sweep range: min {lo} > max {hi}")
 

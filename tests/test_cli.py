@@ -199,7 +199,7 @@ def test_sweep_rejects_fewer_than_one_seed(tmp_path, small_image, capsys, seeds)
         "--min", "1", "--max", "2", "--seeds", seeds, "--csv", str(csv_path),
     ])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: seeds must be >= 1")
+    assert capsys.readouterr().err == f"error: seeds must be an integer >= 1, got {seeds}\n"
     assert not csv_path.exists()
 
 
@@ -221,13 +221,17 @@ def test_run_sweep_rejects_unknown_mode():
 
 @pytest.mark.parametrize("arg, value", [
     ("lo", True), ("lo", 1.0), ("hi", False), ("hi", 2.0), ("seeds", True), ("seeds", 1.5), ("seeds", "1"),
+    ("lo", -1), ("hi", -1),
 ])
 def test_run_sweep_rejects_non_integer_counts(arg, value):
-    # Unchecked, a bool would reach range() as 0 or 1 and a float would
-    # make it raise TypeError.
+    # Unchecked, a bool would reach range() as 0 or 1, a float would make
+    # it raise TypeError and a negative bound would get past this check to
+    # a cell's LineSpec or the empty-range message.
     kwargs = {"lo": 1, "hi": 2, "seeds": 1, arg: value}
-    with pytest.raises(ValueError, match=re.escape(f"{arg} must be an integer, got {value!r}")):
-        run_sweep(Image(np.zeros((8, 8))), "width", **kwargs)
+    low = 1 if arg == "seeds" else 0
+    with mock.patch("linemend.cli.inpaint", side_effect=AssertionError("a sweep cell ran")):
+        with pytest.raises(ValueError, match=re.escape(f"{arg} must be an integer >= {low}, got {value!r}")):
+            run_sweep(Image(np.zeros((8, 8))), "width", **kwargs)
 
 
 def test_run_sweep_fails_before_its_first_cell_when_the_range_cannot_be_drawn():

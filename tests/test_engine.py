@@ -2,6 +2,7 @@
 the vectorized pass against it, pass scheduling, and whole-run
 invariants, with brute-force enumeration oracles for availability."""
 
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -1191,3 +1192,52 @@ def test_engine_config_validation():
     image, mask = creeping_band()
     assert inpaint_report(image, mask, EngineConfig(max_passes=np.int64(3))).passes == 3
 
+
+def _pinned_image(channels, seed):
+    # A bowl plus integer noise: integer arithmetic only, so the same
+    # samples on every platform (no sin, cos or BLAS blur to move a
+    # rounding).
+    r, c = np.mgrid[:128, :128]
+    planes = [((r - 64 + 9 * k) ** 2 + (c - 40 - 7 * k) ** 2) // 64 % 192 for k in range(channels)]
+    noise = np.random.default_rng(seed).integers(0, 24, (128, 128, channels))
+    return Image((np.stack(planes, axis=2) + noise).astype(float))
+
+
+def _pinned_cases():
+    gray, rgb = _pinned_image(1, 50), _pinned_image(3, 51)
+    yield "holes10", gray, Mask(np.random.default_rng(52).integers(0, 10, (128, 128)) == 0)
+    for width in (1, 2, 3, 7, 15):
+        yield f"lines2_width{width}", gray, generate_line_mask(128, 128, LineSpec(count=2, width=width, seed=width))
+    yield "rgb_lines8_width2", rgb, generate_line_mask(128, 128, LineSpec(count=8, width=2, seed=53))
+    yield "fully_masked", gray, Mask(np.ones((128, 128), bool))
+
+
+# sha256 of each case's restored float64 bytes, then its pass fill counts
+# and fallback total; first 16 hex digits.
+_PINNED_DIGESTS = {
+    "holes10": "0d922fae944d544e",
+    "lines2_width1": "5098418ce347eea8",
+    "lines2_width2": "0c71c1d2e5f46db6",
+    "lines2_width3": "53939a407c0796aa",
+    "lines2_width7": "f01bb1f5c4ca7581",
+    "lines2_width15": "9674e499b7c578e4",
+    "rgb_lines8_width2": "6dc0211cd3f4cc50",
+    "fully_masked": "a43101342cee08c1",
+}
+
+
+def test_default_output_is_pinned():
+    """The default engine's output on eight 128x128 cases, byte for byte.
+
+    A change that must not move the output (a refactor, a speed-up) keeps
+    these digests; a deliberate change of output updates them and says so
+    in CHANGES.md. The fill chunk size must not matter either.
+    """
+    for chunk in (engine._ROUND_CHUNK, 1):
+        got = {}
+        with mock.patch.object(engine, "_ROUND_CHUNK", chunk):
+            for name, image, mask in _pinned_cases():
+                report = inpaint_report(image, mask)
+                summary = repr((report.pass_fill_counts, report.fallback_filled)).encode()
+                got[name] = hashlib.sha256(report.image.data.tobytes() + summary).hexdigest()[:16]
+        assert got == _PINNED_DIGESTS, (chunk, got)
