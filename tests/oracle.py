@@ -46,23 +46,14 @@ MIDPOINT_WEIGHTS = np.array(
 )
 
 
-@dataclass(frozen=True)
-class HyperbolicPair:
-    """The two 12-pixel selections around a missing center.
-
-    ``vertical`` is 4x3: rows follow row offsets (-2, -1, +1, +2); each row
-    holds (value at (r, -|r|), value at (r, 0), value at (r, +|r|)), so the
-    middle column is the vertical line and the outer entries flare along
-    the diagonals. ``horizontal`` is the 3x4 transpose-analogue whose middle
-    row is the horizontal line.
-    """
-
-    vertical: np.ndarray
-    horizontal: np.ndarray
-
-
 def vertical_selection(values: Mapping[tuple[int, int], float]) -> np.ndarray | None:
-    """Build the 4x3 vertical-axis matrix, or None if any needed pixel is absent."""
+    """Build the 4x3 vertical-axis matrix, or None if any needed pixel is absent.
+
+    ``values`` maps (row offset, col offset) to intensity. Rows follow
+    row offsets (-2, -1, +1, +2); each holds (value at (r, -|r|), value at
+    (r, 0), value at (r, +|r|)), so the middle column is the vertical line
+    and the outer entries flare along the diagonals.
+    """
     try:
         rows = [
             (values[(r, -abs(r))], values[(r, 0)], values[(r, abs(r))])
@@ -74,7 +65,11 @@ def vertical_selection(values: Mapping[tuple[int, int], float]) -> np.ndarray | 
 
 
 def horizontal_selection(values: Mapping[tuple[int, int], float]) -> np.ndarray | None:
-    """Build the 3x4 horizontal-axis matrix, or None if any needed pixel is absent."""
+    """Build the 3x4 horizontal-axis matrix, or None if any needed pixel is absent.
+
+    The transpose-analogue of vertical_selection: its middle row is the
+    horizontal line.
+    """
     try:
         cols = [
             (values[(-abs(c), c)], values[(0, c)], values[(abs(c), c)])
@@ -83,22 +78,6 @@ def horizontal_selection(values: Mapping[tuple[int, int], float]) -> np.ndarray 
     except KeyError:
         return None
     return np.array(cols, dtype=np.float64).T
-
-
-def build_hyperbolic_matrices(
-    values: Mapping[tuple[int, int], float],
-) -> HyperbolicPair | None:
-    """Form both selection matrices from the 16 neighbor values.
-
-    ``values`` maps (row offset, col offset) to intensity. Returns None if
-    any of the 16 offsets is missing (unavailability, not an error).
-    """
-    if any(off not in values for off in NEIGHBOR_OFFSETS):
-        return None
-    vertical = vertical_selection(values)
-    horizontal = horizontal_selection(values)
-    assert vertical is not None and horizontal is not None
-    return HyperbolicPair(vertical=vertical, horizontal=horizontal)
 
 
 def _upsample_along_axis(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -142,20 +121,14 @@ def midpoint_upsample(matrix) -> np.ndarray:
 
 
 def upsample_center(matrix) -> float:
-    """Center entry of the midpoint-upsampled grid (unclamped)."""
+    """Center entry of the midpoint-upsampled grid (unclamped).
+
+    Because the kernel is interpolating, the center of a selection's 7x5
+    or 5x7 refined grid depends only on its middle column or row; the
+    flare entries shape the rest of the refined grid.
+    """
     up = midpoint_upsample(matrix)
     return float(up[up.shape[0] // 2, up.shape[1] // 2])
-
-
-def predict_2d_center(pair: HyperbolicPair) -> tuple[float, float]:
-    """Predict the missing center from both selection matrices.
-
-    Returns (vertical-matrix center, horizontal-matrix center): the middle
-    entries of the 7x5 and 5x7 refined grids. Because the kernel is
-    interpolating, each center depends only on its matrix's middle
-    column/row; the flare entries shape the rest of the refined grid.
-    """
-    return upsample_center(pair.vertical), upsample_center(pair.horizontal)
 
 
 @dataclass(frozen=True)

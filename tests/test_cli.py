@@ -47,6 +47,7 @@ def test_inpaint_empty_mask_byte_identical(tmp_path, small_image, capsys):
     _write_mask(mask_path, np.zeros((64, 64), bool))
     out_path = tmp_path / "out.pgm"
     assert main(["inpaint", "--input", str(small_image), "--mask", str(mask_path), "--output", str(out_path)]) == 0
+    assert capsys.readouterr().out == "passes=0\nfilled_predictor=0\nfilled_fallback=0\n"
     assert out_path.read_bytes() == small_image.read_bytes()
 
 
@@ -85,6 +86,7 @@ def test_degrade_deterministic(tmp_path, small_image, capsys):
             "--seed", "41", "--mask", str(mask_out), "--output", str(img_out),
         ])
         assert rc == 0
+        assert capsys.readouterr().out == "seed=41\ndegraded_pixels=374\n"
         outs.append((mask_out.read_bytes(), img_out.read_bytes()))
     assert outs[0] == outs[1]
 
@@ -153,7 +155,8 @@ def test_eval_mismatched_sizes(tmp_path, small_image, capsys):
     other = tmp_path / "other.pgm"
     save_pnm(Image(np.zeros((8, 8))), other)
     rc = main(["eval", "--reference", str(small_image), "--test", str(other)])
-    assert rc != 0
+    assert rc == 1
+    assert capsys.readouterr().err == "error: reference is 64x64 but test is 8x8\n"
 
 
 def test_sweep_row_count_and_determinism(tmp_path, small_image, capsys):
@@ -189,6 +192,8 @@ def test_sweep_lines_mode(tmp_path, small_image, capsys):
     # ordered by (param_value, seed)
     keys = [tuple(int(x) for x in row.split(",")[1:3]) for row in rows]
     assert keys == sorted(keys)
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(" mean_psnr_db=")[0] for line in printed] == ["lines=1", "lines=2", "lines=3"]
 
 
 @pytest.mark.parametrize("seeds", ["0", "-2"])

@@ -1,14 +1,13 @@
 """Line-defect generator tests: determinism, coverage monotonicity,
-pixel-count oracles for rasterized scratches, and the closed-form
-rasterizer checked against the error-term loop of oracle.py, pixel for
-pixel."""
+pixel counts of whole scratches, and the closed-form rasterizer checked
+against the error-term loop of oracle.py, pixel for pixel."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linemend import Image, LineSpec, Mask, apply_mask, generate_line_mask, inpaint
+from linemend import Image, LineSpec, Mask, apply_mask, generate_line_mask
 from linemend.degrade import _line_points
 
 from oracle import line_points
@@ -60,16 +59,6 @@ def test_all_degraded_pixels_in_bounds():
     mask = generate_line_mask(40, 40, LineSpec(count=4, width=9, seed=13))
     assert mask.degraded.shape == (40, 40)
     assert 0 < mask.degraded_count <= 40 * 40
-
-
-def test_line_pixel_count_oracle():
-    # Midpoint rasterization visits exactly max(|dr|, |dc|) + 1 pixels.
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        r0, c0, r1, c1 = rng.integers(0, 100, 4)
-        rows, cols = _line_points(r0, c0, r1, c1)
-        assert len(rows) == max(abs(r1 - r0), abs(c1 - c0)) + 1
-        assert rows[0] == r0 and cols[0] == c0 and rows[-1] == r1 and cols[-1] == c1
 
 
 def assert_same_path(r0, c0, r1, c1):
@@ -132,15 +121,11 @@ def test_rejects_small_images_and_wide_lines():
         generate_line_mask(7, 64, LineSpec(count=1))
     with pytest.raises(ValueError, match="width"):
         generate_line_mask(40, 40, LineSpec(count=1, width=11))
-    with pytest.raises(ValueError):
-        LineSpec(count=-1)
-    with pytest.raises(ValueError):
-        LineSpec(count=1, width=0)
 
 
 @pytest.mark.parametrize("field, value", [
-    ("count", 2.0), ("count", True), ("count", "2"), ("count", None),
-    ("width", 2.5), ("width", True), ("width", np.float64(2.0)),
+    ("count", 2.0), ("count", True), ("count", "2"), ("count", None), ("count", -1),
+    ("width", 2.5), ("width", True), ("width", np.float64(2.0)), ("width", 0),
     ("seed", None), ("seed", True), ("seed", 1.5), ("seed", "3"), ("seed", -1),
 ])
 def test_linespec_rejects_non_integers(field, value):
@@ -176,10 +161,3 @@ def test_apply_mask_blanks_all_channels():
     assert np.all(out.data[mask.degraded] == 0.0)
     assert np.array_equal(out.data[~mask.degraded], img.data[~mask.degraded])
 
-
-def test_degrade_then_inpaint_preserves_intact_pixels():
-    rng = np.random.default_rng(12)
-    img = Image(rng.uniform(0.0, 255.0, (48, 48)))
-    mask = generate_line_mask(48, 48, LineSpec(count=2, width=3, seed=2))
-    restored = inpaint(apply_mask(img, mask), mask)
-    assert np.array_equal(restored.data[~mask.degraded], img.data[~mask.degraded])

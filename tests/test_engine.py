@@ -1,6 +1,7 @@
 """Engine tests: the per-pixel contracts of the reference in oracle.py,
-the vectorized pass against it, pass scheduling, and whole-run
-invariants, with brute-force enumeration oracles for availability."""
+the vectorized pass against it (its filled set against the lines that
+the reference's gathering finds complete), pass scheduling, the fallback
+against a whole-image oracle, and whole-run invariants."""
 
 import hashlib
 import math
@@ -29,7 +30,7 @@ from linemend import (
 )
 from linemend import engine
 from linemend.engine import _cells, _fallback_fill, _jacobi_rounds
-from linemend.kernels import DIRECTION_VECTORS, NEIGHBOR_OFFSETS
+from linemend.kernels import NEIGHBOR_OFFSETS
 
 from conftest import natural_image
 from oracle import gather_neighborhood, predict_pixel, replace_most_deviant
@@ -39,27 +40,6 @@ def affine_image(height, width, a=0.5, b=0.8, d=20.0, channels=1):
     r, c = np.meshgrid(np.arange(height, dtype=float), np.arange(width, dtype=float), indexing="ij")
     plane = a * r + b * c + d
     return Image(np.repeat(plane[:, :, None], channels, axis=2))
-
-
-def brute_fillable(missing):
-    """Oracle: a missing pixel is fillable iff at least one direction has
-    all four of its (in-bounds, not-missing) line pixels."""
-    height, width = missing.shape
-    fillable = np.zeros_like(missing)
-    for r in range(height):
-        for c in range(width):
-            if not missing[r, c]:
-                continue
-            for dr, dc in DIRECTION_VECTORS:
-                if all(
-                    0 <= r + t * dr < height
-                    and 0 <= c + t * dc < width
-                    and not missing[r + t * dr, c + t * dc]
-                    for t in (-2, -1, 1, 2)
-                ):
-                    fillable[r, c] = True
-                    break
-    return fillable
 
 
 # ------------------------------------------------------------- gathering
@@ -170,6 +150,15 @@ def test_run_pass_single_pixel():
     new_values, filled = run_pass(img.data, missing)
     assert filled[4, 4] and filled.sum() == 1
     assert new_values[4, 4, 0] == pytest.approx(img.data[4, 4, 0], abs=1e-9)
+
+
+def test_run_pass_accepts_2d_state():
+    img = affine_image(9, 9)
+    missing = np.zeros((9, 9), bool)
+    missing[4, 4] = True
+    new_values, filled = run_pass(img.data[:, :, 0], missing)
+    assert new_values.shape == (9, 9) and filled[4, 4]
+    assert new_values[4, 4] == pytest.approx(img.data[4, 4, 0], abs=1e-9)
 
 
 def test_run_pass_empty_missing_is_identity():
@@ -361,8 +350,8 @@ def test_run_pass_reads_values_as_finite_float64():
     assert got_values.dtype == np.float64
     assert np.array_equal(got_filled, want_filled) and got_filled.any()
     assert got_values.tobytes() == want_values.tobytes()
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="finite"):
+    for bad, message in (np.nan, "finite"), (np.inf, "finite"), (1 + 0j, "real"):
+        with pytest.raises(ValueError, match=message):
             run_pass(np.full((8, 8), bad), missing)
 
 
@@ -372,10 +361,8 @@ def test_run_pass_three_wide_band_fills_nothing():
     img = affine_image(16, 16)
     missing = np.zeros((16, 16), bool)
     missing[:, 6:9] = True
-    oracle = brute_fillable(missing)
-    assert not oracle.any()
     _, filled = run_pass(img.data, missing)
-    assert np.array_equal(filled, oracle)
+    assert not filled.any()
     # the engine then falls through to the fallback
     report = inpaint_report(img, Mask(missing))
     assert report.predictor_filled == 0
@@ -383,12 +370,16 @@ def test_run_pass_three_wide_band_fills_nothing():
 
 
 def test_run_pass_filled_set_matches_brute_oracle():
+    # A hole is filled exactly when one of its four lines has all four
+    # pixels in bounds and known, read from the oracle's gathering.
     rng = np.random.default_rng(8)
     for _ in range(20):
         missing = rng.random((14, 14)) < 0.35
-        img = Image(rng.uniform(0.0, 255.0, (14, 14)))
-        _, filled = run_pass(img.data, missing)
-        assert np.array_equal(filled, brute_fillable(missing))
+        values = rng.uniform(0.0, 255.0, (14, 14))
+        _, filled = run_pass(values, missing)
+        for r, c in np.ndindex(14, 14):
+            lines = gather_neighborhood(values, missing, (r, c)).available.reshape(4, 4)
+            assert filled[r, c] == (missing[r, c] and lines.all(axis=1).any())
 
 
 @st.composite
@@ -464,27 +455,6 @@ def test_run_pass_outlier_tie_break():
     for ch, want in enumerate(expected):
         assert new_values[4, 4, ch] == want
         assert predict_pixel(gather_neighborhood(values, missing, (4, 4), ch)) == want
-
-
-def test_run_pass_accepts_2d_state():
-    img = affine_image(9, 9)
-    missing = np.zeros((9, 9), bool)
-    missing[4, 4] = True
-    new_values, filled = run_pass(img.data[:, :, 0], missing)
-    assert new_values.shape == (9, 9)
-    assert filled[4, 4]
-    assert new_values[4, 4] == pytest.approx(img.data[4, 4, 0], abs=1e-9)
-
-
-def test_run_pass_worker_count_bit_identical():
-    rng = np.random.default_rng(21)
-    values = rng.uniform(0.0, 255.0, (40, 40, 1))
-    missing = rng.random((40, 40)) < 0.25
-    base, filled1 = run_pass(values, missing, workers=1)
-    for workers in (2, 4, 7):
-        out, filled = run_pass(values, missing, workers=workers)
-        assert np.array_equal(out, base)
-        assert np.array_equal(filled, filled1)
 
 
 # -------------------------------------------------------------- inpaint
@@ -678,23 +648,6 @@ def test_inpaint_empty_mask_identity():
     assert np.array_equal(out.data, img.data)
 
 
-def test_inpaint_affine_scattered_holes_exact():
-    img = affine_image(64, 64)
-    missing = np.zeros((64, 64), bool)
-    holes = [(r, c) for r in range(3, 61, 7) for c in range(3, 61, 7)]
-    for r, c in holes:
-        missing[r, c] = True
-    report = inpaint_report(img, Mask(missing))
-    assert report.fallback_filled == 0
-    assert np.max(np.abs(report.image.data - img.data)) <= 1e-6
-
-
-def test_inpaint_fully_masked_gives_128():
-    img = Image(np.full((12, 12), 55.0))
-    out = inpaint(img, Mask(np.ones((12, 12), bool)))
-    assert np.all(out.data == 128.0)
-
-
 def test_run_pass_without_known_pixels_fills_nothing():
     values = np.random.default_rng(8).uniform(0.0, 255.0, (7, 9, 3))
     new_values, filled = run_pass(values, np.ones((7, 9), bool))
@@ -754,17 +707,6 @@ def test_inpaint_single_pixel_image():
     assert out.data[0, 0, 0] == 128.0
 
 
-def test_inpaint_never_touches_unmasked_pixels():
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        img = Image(rng.uniform(0.0, 255.0, (20, 20, 3)))
-        missing = rng.random((20, 20)) < 0.4
-        out = inpaint(img, Mask(missing))
-        assert np.array_equal(out.data[~missing], img.data[~missing])
-        assert np.isfinite(out.data).all()
-        assert out.data.min() >= 0.0 and out.data.max() <= 255.0
-
-
 def test_inpaint_ignores_stored_values_under_mask():
     rng = np.random.default_rng(14)
     clean = rng.uniform(0.0, 255.0, (16, 16, 1))
@@ -797,21 +739,6 @@ def test_inpaint_channel_independence():
     for ch in range(3):
         single = inpaint(Image(img.data[:, :, ch]), Mask(missing))
         assert np.array_equal(combined.data[:, :, ch], single.data[:, :, 0])
-
-
-def test_inpaint_deterministic():
-    rng = np.random.default_rng(27)
-    img = Image(rng.uniform(0.0, 255.0, (24, 24)))
-    missing = rng.random((24, 24)) < 0.35
-    a = inpaint(img, Mask(missing))
-    b = inpaint(img, Mask(missing))
-    assert np.array_equal(a.data, b.data)
-
-
-def test_inpaint_dimension_mismatch():
-    img = affine_image(8, 8)
-    with pytest.raises(Exception, match="8x8"):
-        inpaint(img, Mask(np.zeros((8, 9), bool)))
 
 
 def test_fallback_growing_window_oracle():

@@ -1,31 +1,27 @@
-"""Kernel-level tests: every derived value is checked against an
-independent oracle (Vandermonde fit, direct convolution, enumeration)."""
+"""Kernel-level tests of the route that oracle.prediction_bundle takes:
+the line predictor, the hyperbolic selections (vertical_selection and
+horizontal_selection) and the Keys midpoint upsampling whose center
+upsample_center reads. Derived values are checked against independent
+oracles (direct convolution, hand enumeration, exact cubics); the line
+predictor's Vandermonde fit and the surface centers' closed form are
+acceptance criteria 1 and 2."""
 
 import numpy as np
 import pytest
 
 from linemend import predict_line_center
-from linemend.kernels import LINE_CENTER_WEIGHTS, NEIGHBOR_OFFSETS, STEPS
+from linemend.kernels import NEIGHBOR_OFFSETS, STEPS
 
 from oracle import (
     MIDPOINT_WEIGHTS,
-    build_hyperbolic_matrices,
     cubic_conv_weight,
     horizontal_selection,
     midpoint_upsample,
-    predict_2d_center,
     upsample_center,
     vertical_selection,
 )
 
 OFFS = np.array([-2.0, -1.0, 1.0, 2.0])
-
-
-def fit_cubic_at_zero(values):
-    """Independent oracle: solve the 4x4 Vandermonde system and take the
-    constant coefficient (the cubic's value at 0)."""
-    vander = np.vander(OFFS, 4, increasing=True)
-    return float(np.linalg.solve(vander, np.asarray(values, float))[0])
 
 
 def direct_midpoint_upsample(matrix):
@@ -62,6 +58,7 @@ def test_cubic_conv_weight_values():
     assert cubic_conv_weight(1.5) == -0.0625
     assert cubic_conv_weight(2.0) == 0.0
     assert cubic_conv_weight(3.7) == 0.0
+    assert np.array_equal(MIDPOINT_WEIGHTS, np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0)
 
 
 def test_cubic_conv_weight_partition_of_unity():
@@ -90,23 +87,6 @@ def test_line_center_trivial_cases():
     assert predict_line_center([5.0, 5.0, 5.0, 5.0]) == 5.0
     assert predict_line_center([1.0, 2.0, 4.0, 5.0]) == pytest.approx(3.0, abs=1e-14)
     assert predict_line_center([0.0, 0.0, 1.0, 0.0]) == pytest.approx(2.0 / 3.0, abs=1e-15)
-
-
-def test_line_center_weight_vector_exact():
-    expected = (-1.0 / 6.0, 2.0 / 3.0, 2.0 / 3.0, -1.0 / 6.0)
-    basis = np.eye(4)
-    for i in range(4):
-        assert predict_line_center(basis[i]) == expected[i]
-    assert LINE_CENTER_WEIGHTS.sum() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_line_center_matches_vandermonde_oracle():
-    rng = np.random.default_rng(42)
-    for _ in range(1000):
-        v = rng.uniform(-100.0, 355.0, 4)
-        got = predict_line_center(v)
-        want = fit_cubic_at_zero(v)
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_line_center_reproduces_cubics():
@@ -142,21 +122,20 @@ def test_line_center_rejects_bad_input():
 
 def test_hyperbolic_constant_neighborhood():
     values = {off: 7.0 for off in NEIGHBOR_OFFSETS}
-    pair = build_hyperbolic_matrices(values)
-    assert np.all(pair.vertical == 7.0) and pair.vertical.shape == (4, 3)
-    assert np.all(pair.horizontal == 7.0) and pair.horizontal.shape == (3, 4)
+    vertical, horizontal = vertical_selection(values), horizontal_selection(values)
+    assert np.all(vertical == 7.0) and vertical.shape == (4, 3)
+    assert np.all(horizontal == 7.0) and horizontal.shape == (3, 4)
 
 
 def test_hyperbolic_rows_read_row_offsets():
     values = {(dr, dc): float(dr) for (dr, dc) in NEIGHBOR_OFFSETS}
-    pair = build_hyperbolic_matrices(values)
-    assert np.array_equal(pair.vertical, np.array([[-2.0] * 3, [-1.0] * 3, [1.0] * 3, [2.0] * 3]))
+    assert np.array_equal(vertical_selection(values), np.array([[-2.0] * 3, [-1.0] * 3, [1.0] * 3, [2.0] * 3]))
 
 
 def test_hyperbolic_sentinel_membership():
     # Hand enumeration of the two 12-pixel selections.
     values = {off: float(i + 1) for i, off in enumerate(NEIGHBOR_OFFSETS)}
-    pair = build_hyperbolic_matrices(values)
+    vertical, horizontal = vertical_selection(values), horizontal_selection(values)
     vert_expected = np.array(
         [
             [values[(-2, -2)], values[(-2, 0)], values[(-2, 2)]],
@@ -172,17 +151,16 @@ def test_hyperbolic_sentinel_membership():
             [values[(2, -2)], values[(1, -1)], values[(1, 1)], values[(2, 2)]],
         ]
     )
-    assert np.array_equal(pair.vertical, vert_expected)
-    assert np.array_equal(pair.horizontal, horz_expected)
+    assert np.array_equal(vertical, vert_expected)
+    assert np.array_equal(horizontal, horz_expected)
     # middle column / middle row are the axis lines
-    assert list(pair.vertical[:, 1]) == [values[(t, 0)] for t in STEPS]
-    assert list(pair.horizontal[1, :]) == [values[(0, t)] for t in STEPS]
+    assert list(vertical[:, 1]) == [values[(t, 0)] for t in STEPS]
+    assert list(horizontal[1, :]) == [values[(0, t)] for t in STEPS]
 
 
 def test_hyperbolic_missing_pixel_signals_unavailable():
     values = {off: 1.0 for off in NEIGHBOR_OFFSETS}
     del values[(2, 2)]
-    assert build_hyperbolic_matrices(values) is None
     assert vertical_selection(values) is None
     # horizontal selection also uses (2, 2) (it holds all 8 diagonals)
     assert horizontal_selection(values) is None
@@ -257,8 +235,7 @@ def test_upsample_shape_errors():
 
 def test_2d_center_constant():
     values = {off: 42.0 for off in NEIGHBOR_OFFSETS}
-    pair = build_hyperbolic_matrices(values)
-    assert predict_2d_center(pair) == (42.0, 42.0)
+    assert upsample_center(vertical_selection(values)) == upsample_center(horizontal_selection(values)) == 42.0
 
 
 def test_2d_center_middle_column_example():
@@ -267,22 +244,3 @@ def test_2d_center_middle_column_example():
     vert[:, 1] = [1.0, 2.0, 4.0, 5.0]
     assert upsample_center(vert) == pytest.approx(3.0, abs=1e-12)  # (-1+18+36-5)/16
 
-
-def test_2d_center_closed_form_and_flare_independence():
-    rng = np.random.default_rng(77)
-    w = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
-    assert np.array_equal(MIDPOINT_WEIGHTS, w)
-    for _ in range(500):
-        vert = rng.uniform(0.0, 255.0, (4, 3))
-        horz = rng.uniform(0.0, 255.0, (3, 4))
-        cv = upsample_center(vert)
-        ch = upsample_center(horz)
-        assert abs(cv - w @ vert[:, 1]) <= 1e-12
-        assert abs(ch - w @ horz[1, :]) <= 1e-12
-        # perturbing only the flare (non-axis) entries changes nothing
-        vert2 = vert + rng.uniform(-100.0, 100.0, (4, 3))
-        vert2[:, 1] = vert[:, 1]
-        horz2 = horz + rng.uniform(-100.0, 100.0, (3, 4))
-        horz2[1, :] = horz[1, :]
-        assert upsample_center(vert2) == cv
-        assert upsample_center(horz2) == ch
