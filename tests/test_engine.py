@@ -1,10 +1,9 @@
 """Engine tests: the per-pixel contracts of the reference in oracle.py,
 the vectorized pass against it (its filled set against the lines that
 the reference's gathering finds complete), pass scheduling, the fallback
-against a whole-image oracle, and whole-run invariants."""
+against one window oracle, byte for byte, and whole-run invariants."""
 
 import hashlib
-import math
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -460,67 +459,35 @@ def test_run_pass_outlier_tie_break():
 # -------------------------------------------------------------- inpaint
 
 
-def _integral_oracle(plane):
-    out = np.zeros((plane.shape[0] + 1, plane.shape[1] + 1), dtype=np.float64)
-    out[1:, 1:] = plane.cumsum(axis=0).cumsum(axis=1)
-    return out
-
-
 def fallback_oracle(values, missing):
-    """The box-mean fallback over whole-image summed-area tables, one per
-    plane, with every window size up to 21 x 21 evaluated for every hole.
-    Mutates ``values``; returns the number of pixels filled."""
+    """The box-mean fallback as written: each hole of ``missing`` takes
+    the smallest centred odd window, up to 21 x 21, that holds a known
+    pixel, adds the window's pixels in row-major order, counting holes
+    and off-image cells as +0, and divides by the known count, clamped
+    to [0, 255]; a hole with no known pixel within reach takes 128.
+    Returns the filled copy of ``values``."""
     rows, cols = np.nonzero(missing)
-    if rows.size == 0:
-        return 0
-    height, width, channels = values.shape
-    known = ~missing
-    out = np.full((rows.size, channels), 128.0)
-    if known.any():
-        count_int = _integral_oracle(known.astype(np.float64))
-        sum_ints = [_integral_oracle(values[:, :, ch] * known) for ch in range(channels)]
-        remaining = np.ones(rows.size, dtype=bool)
-        for half in range(1, 11):
-            if not remaining.any():
-                break
-            r0 = np.maximum(rows - half, 0)
-            r1 = np.minimum(rows + half + 1, height)
-            c0 = np.maximum(cols - half, 0)
-            c1 = np.minimum(cols + half + 1, width)
-            counts = (
-                count_int[r1, c1] - count_int[r0, c1] - count_int[r1, c0] + count_int[r0, c0]
-            )
-            sel = remaining & (counts > 0)
-            if sel.any():
-                for ch in range(channels):
-                    s = sum_ints[ch]
-                    sums = s[r1, c1] - s[r0, c1] - s[r1, c0] + s[r0, c0]
-                    out[sel, ch] = sums[sel] / counts[sel]
-                remaining &= ~sel
-    values[rows, cols] = np.clip(out, 0.0, 255.0)
-    return rows.size
-
-
-def assert_fallback_close(got, want, before, residual):
-    """The fallback's output ``got`` against the oracle's ``want``, both
-    made from ``before`` with the holes ``residual`` left. Off the holes,
-    and at holes with no known pixel within reach (128), they are equal.
-    At the other holes they are within tau = 8 (H + W + 1) eps max|x| H W,
-    x over the known pixels: to first order, the most by which two
-    four-corner differences of sums built by at most H + W chained
-    additions can differ. The window sizes, from exact counts, agree."""
-    height, width, _ = before.shape
-    known = ~residual
-    assert got[known].tobytes() == want[known].tobytes()
-    count_int = _integral_oracle(known.astype(np.float64))
-    rows, cols = np.nonzero(residual)
-    r0, r1 = np.maximum(rows - 10, 0), np.minimum(rows + 11, height)
-    c0, c1 = np.maximum(cols - 10, 0), np.minimum(cols + 11, width)
-    out_of_reach = count_int[r1, c1] - count_int[r0, c1] - count_int[r1, c0] + count_int[r0, c0] == 0
-    assert (got[rows[out_of_reach], cols[out_of_reach]] == 128.0).all()
-    assert (want[rows[out_of_reach], cols[out_of_reach]] == 128.0).all()
-    tau = 8 * (height + width + 1) * np.finfo(np.float64).eps * np.abs(before[known]).max(initial=0.0) * height * width
-    assert np.abs(got[residual] - want[residual]).max(initial=0.0) <= tau
+    out = values.copy()
+    out[rows, cols] = 128.0
+    stride = missing.shape[1] + 20
+    taps = np.pad(np.where(missing[:, :, None], 0.0, values), ((10, 10), (10, 10), (0, 0)))
+    taps = taps.reshape(-1, values.shape[2])
+    known = np.pad(~missing, 10).ravel()
+    centres = (rows + 10) * stride + cols + 10
+    for half in range(1, 11):
+        if rows.size == 0:
+            break
+        sums = np.zeros((rows.size, values.shape[2]))
+        counts = np.zeros(rows.size, dtype=int)
+        for dr in range(-half, half + 1):
+            for dc in range(-half, half + 1):
+                at = centres + dr * stride + dc
+                sums += taps[at]
+                counts += known[at]
+        found = counts > 0
+        out[rows[found], cols[found]] = np.clip(sums[found] / counts[found, None], 0.0, 255.0)
+        rows, cols, centres = rows[~found], cols[~found], centres[~found]
+    return out
 
 
 def reference_rounds(image, mask, config, workers):
@@ -538,13 +505,6 @@ def reference_rounds(image, mask, config, workers):
             break
         missing &= ~filled
     return values, missing, tuple(fills)
-
-
-def reference_report(image, mask, config, workers):
-    """inpaint_report's contract: reference_rounds, then the fallback."""
-    values, missing, fills = reference_rounds(image, mask, config, workers)
-    fallback = fallback_oracle(values, missing)
-    return values, fills, fallback
 
 
 @st.composite
@@ -594,9 +554,9 @@ def test_chunked_rounds_match_one_chunk_on_bands(case):
 
 def test_creeping_band_hits_low_pass_cap():
     image, mask = creeping_band()
-    _, fills, fallback = reference_report(image, mask, EngineConfig(max_passes=8), workers=1)
+    _, residual, fills = reference_rounds(image, mask, EngineConfig(max_passes=8), workers=1)
     assert len(fills) == 8 and min(fills) > 0
-    assert fallback > 0
+    assert residual.sum() > 0
 
 
 @settings(max_examples=80, deadline=None)
@@ -606,14 +566,12 @@ def test_creeping_band_hits_low_pass_cap():
 def test_inpaint_report_matches_run_pass_loop(case, max_passes, workers):
     image, mask = case
     config = EngineConfig(max_passes=max_passes)
-    before, residual, fills = reference_rounds(image, mask, config, workers)
-    values = before.copy()
-    fallback = fallback_oracle(values, residual)
+    values, residual, fills = reference_rounds(image, mask, config, workers)
     report = inpaint_report(image, mask, config, workers=workers)
-    assert_fallback_close(report.image.data, values, before, residual)
+    assert report.image.data.tobytes() == fallback_oracle(values, residual).tobytes()
     assert report.passes == len(fills)
     assert report.pass_fill_counts == fills
-    assert report.fallback_filled == fallback
+    assert report.fallback_filled == residual.sum()
 
 
 def test_inpaint_report_leaves_inputs_unmodified():
@@ -742,36 +700,13 @@ def test_inpaint_channel_independence():
 
 
 def test_fallback_growing_window_oracle():
-    # Full-height band: no predictors anywhere, so every band pixel takes
-    # the mean of the smallest centered odd window holding a known pixel.
+    # A full-height 5-wide band: its edge columns meet known pixels at
+    # half-width 1, its middle column only at half-width 3.
     rng = np.random.default_rng(31)
-    data = rng.uniform(0.0, 255.0, (16, 16))
+    data = rng.uniform(0.0, 255.0, (16, 16, 1))
     missing = np.zeros((16, 16), bool)
     missing[:, 6:11] = True  # 5-wide band
-    out = inpaint(Image(data), Mask(missing))
-    known = ~missing
-    for r, c in zip(*np.nonzero(missing)):
-        expected = None
-        for half in range(1, 11):
-            r0, r1 = max(0, r - half), min(16, r + half + 1)
-            c0, c1 = max(0, c - half), min(16, c + half + 1)
-            window_known = known[r0:r1, c0:c1]
-            if window_known.any():
-                expected = data[r0:r1, c0:c1][window_known].mean()
-                break
-        assert expected is not None
-        assert out.data[r, c, 0] == pytest.approx(expected, abs=1e-9)
-
-
-def test_fallback_window_limit_gives_128():
-    # Known pixels exist but sit beyond the 21 x 21 window limit.
-    data = np.full((40, 40), 200.0)
-    missing = np.ones((40, 40), bool)
-    missing[0, 0] = False
-    out = inpaint(Image(data), Mask(missing))
-    # pixels within 10 of (0,0) average it; everything farther gets 128
-    assert out.data[20, 20, 0] == 128.0
-    assert out.data[0, 1, 0] == 200.0
+    _check_fallback(data, missing)
 
 
 def fallback_fill(values, missing):
@@ -784,16 +719,13 @@ def fallback_fill(values, missing):
 
 
 def _check_fallback(values, missing):
-    # Within tau of the oracle, and the same bytes with one hole per chunk.
-    want = values.copy()
-    want_count = fallback_oracle(want, missing)
-    got = values.copy()
-    assert fallback_fill(got, missing) == want_count
-    assert_fallback_close(got, want, values, missing)
-    smallest = values.copy()
-    with mock.patch.object(engine, "_ROUND_CHUNK", 1):
-        fallback_fill(smallest, missing)
-    assert smallest.tobytes() == got.tobytes()
+    # The oracle's bytes, with the default chunks and with one hole per chunk.
+    want = fallback_oracle(values, missing).tobytes()
+    for chunk in (engine._ROUND_CHUNK, 1):
+        got = values.copy()
+        with mock.patch.object(engine, "_ROUND_CHUNK", chunk):
+            assert fallback_fill(got, missing) == missing.sum()
+        assert got.tobytes() == want
 
 
 @settings(max_examples=120, deadline=None)
@@ -816,10 +748,14 @@ def test_fallback_matches_whole_image_oracle(case, edges, predicted):
 def test_fallback_matches_oracle_out_of_reach(channels):
     # One known pixel in the far corner of a 40x40 hole: past the window
     # limit the value is 128; the bottom row and right column are holes.
+    # No round fills a hole there, so inpaint's output is the oracle's.
+    # With no known pixel at all, every hole is written 128 in place.
     values = np.random.default_rng(21).uniform(0.0, 255.0, (40, 40, channels))
     missing = np.ones((40, 40), bool)
     missing[0, 0] = False
     _check_fallback(values, missing)
+    restored = inpaint(Image(values), Mask(missing)).data
+    assert restored.tobytes() == fallback_oracle(values, missing).tobytes()
     _check_fallback(values, np.ones((40, 40), bool))
 
 
@@ -929,15 +865,12 @@ def test_fallback_matches_oracle_on_tall_sparse_holes_and_widest_rings(case):
 @pytest.mark.parametrize("channels", [1, 3])
 def test_fallback_means_are_clamped(channels):
     # Known values in [-40, 300] give window means outside [0, 255]; each
-    # is clamped where the hole is written, with the default chunks and
-    # with one hole per chunk.
+    # is clamped where the hole is written.
     rng = np.random.default_rng(33)
     values = rng.uniform(-40.0, 300.0, (48, 40, channels))
     missing = rng.random((48, 40)) < 0.6
     missing[20:30, 5:30] = True
-    for chunk in (engine._ROUND_CHUNK, 1):
-        with mock.patch.object(engine, "_ROUND_CHUNK", chunk):
-            _check_fallback(values, missing)
+    _check_fallback(values, missing)
 
 
 @pytest.mark.parametrize("channels", [1, 3])
@@ -951,18 +884,14 @@ def test_fallback_ignores_residual_hole_contents(channels):
     values = rng.uniform(0.0, 255.0, (48, 40, channels))
     missing = rng.random((48, 40)) < 0.4
     missing[20:30] = True
-    want = values.copy()
-    fallback_oracle(want, missing)
-    results = []
+    want = fallback_oracle(values, missing).tobytes()
     for chunk in (engine._ROUND_CHUNK, 1):
         with mock.patch.object(engine, "_ROUND_CHUNK", chunk):
             for stored in (0.0, -0.0, -7.5, 1e300):
                 got = values.copy()
                 got[missing] = stored
                 fallback_fill(got, missing)
-                results.append(got)
-    assert all(got.tobytes() == results[0].tobytes() for got in results)
-    assert_fallback_close(results[0], want, values, missing)
+                assert got.tobytes() == want
 
 
 @pytest.fixture(scope="module")
@@ -995,24 +924,15 @@ def test_fallback_matches_oracle_on_wide_bands(width):
 def test_fallback_means_ignore_large_rows_above_the_band():
     # Rows 0-9, or columns 0-9, hold 1e15, far from every hole's window.
     # Sums running down from row 0 or along from column 0 would carry them
-    # into every window and round the means by tens of levels; a window's
-    # own pixels give the exact window means to within 1e-9.
+    # into every window and round the means by tens of levels; the
+    # oracle adds a window's own pixels only.
     rows, columns = np.zeros((2, 64, 64), bool)
     rows[40:45] = True
     columns[:, 40:45] = True
     for far, missing in (np.s_[:10], rows), (np.s_[:, :10], columns):
         values = np.random.default_rng(34).uniform(0.0, 255.0, (64, 64, 1))
         values[far] = 1e15
-        got = values.copy()
-        fallback_fill(got, missing)
-        for r, c in zip(*np.nonzero(missing)):
-            for half in range(1, 11):
-                window = np.s_[max(r - half, 0) : r + half + 1, max(c - half, 0) : c + half + 1]
-                known = ~missing[window]
-                if known.any():
-                    break
-            want = math.fsum(values[window][known, 0]) / known.sum()
-            assert abs(got[r, c, 0] - want) <= 1e-9
+        _check_fallback(values, missing)
 
 
 def test_fallback_means_of_integer_windows_are_exact():
@@ -1087,8 +1007,6 @@ def test_fallback_memory_is_bounded(seed, channels, hole_rows, whole_rows, bound
         missing[rows] = True
     else:
         missing[rows, rng.integers(0, 1024, rows.size)] = True
-    want = values.copy()
-    fallback_oracle(want, missing)
     got = values.copy()
     tracemalloc.start()
     try:
@@ -1097,17 +1015,7 @@ def test_fallback_memory_is_bounded(seed, channels, hole_rows, whole_rows, bound
     finally:
         tracemalloc.stop()
     assert peak < bound
-    assert_fallback_close(got, want, values, missing)
-
-
-def test_fallback_without_known_pixels_writes_in_place():
-    # Every pixel is a hole, so no window holds a known pixel and every
-    # one becomes 128 in ``values``. inpaint_report answers this case
-    # before the rounds; the fallback's window search gets it right too.
-    values = np.random.default_rng(30).uniform(0.0, 255.0, (30, 25, 3))
-    missing = np.ones((30, 25), bool)
-    assert fallback_fill(values, missing) == 30 * 25
-    assert (values == 128.0).all()
+    assert got.tobytes() == fallback_oracle(values, missing).tobytes()
 
 
 def test_engine_config_validation():
