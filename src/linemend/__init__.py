@@ -1,10 +1,10 @@
 """Restoration of line-type image defects by aggregated cubic predictions.
 
 The engine fills mask-marked pixels by averaging up to six candidates per
-pixel, one per row of the stencil table in ``linemend.kernels``: four
-directional cubic-fit line predictions and two bicubic surface centers,
-each a fixed weighting of four line pixels. A seeded scratch generator
-and PSNR/SSIM scoring round out the evaluation pipeline.
+pixel: four directional cubic-fit line predictions and two bicubic
+surface centers, each a fixed weighting of four line pixels (see
+``linemend.kernels``). A seeded scratch generator and PSNR/SSIM scoring
+round out the evaluation pipeline.
 """
 
 from .degrade import LineSpec, apply_mask, generate_line_mask

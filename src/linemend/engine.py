@@ -3,13 +3,16 @@
 Filling proceeds in Jacobi rounds: every still-missing pixel is
 predicted from the previous round's state only, so results are
 independent of pixel visitation order. Per missing pixel and channel,
-the predictions of the available slots of kernels.SLOTS are averaged:
-four directional line predictions and two surface predictions. A slot
-is available when every line it names has all four pixels known. When
-all four line predictions exist, the one most deviant from their mean
-is first replaced by the mean of the other three. Rounds stop when one
-fills nothing, no hole remains, or the pass cap is reached; see
-_jacobi_rounds for how a round picks and predicts its holes.
+the predictions of the available slots are averaged: four directional
+line predictions, each kernels.LINE_CENTER_WEIGHTS over one line, and
+two surface predictions, kernels.SURFACE_CENTER_WEIGHTS over the
+vertical or the horizontal line. A line slot is available when its line
+has all four pixels known, a surface slot when its axis line and both
+diagonals have. When all four line predictions exist, the one most
+deviant from their mean is first replaced by the mean of the other
+three. Rounds stop when one fills nothing, no hole remains, or the pass
+cap is reached; see _jacobi_rounds for how a round picks and predicts
+its holes.
 
 Pixels that never acquire a complete predictor line (deep hole
 interiors) are finished by the mean of the known pixels in the smallest
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import NEIGHBOR_OFFSETS, SLOTS
+from .kernels import LINE_CENTER_WEIGHTS, NEIGHBOR_OFFSETS, SURFACE_CENTER_WEIGHTS
 from .raster import DimensionMismatch, Image, Mask, _finite_image, _require_count, require_same_grid
 
 
@@ -159,8 +162,8 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
     offsets = np.array([dr * stride + dc for dr, dc in NEIGHBOR_OFFSETS]).reshape(4, 4, 1)  # a row per line
     taps = np.array([dr * width + dc for dr, dc in NEIGHBOR_OFFSETS]).reshape(4, 4, 1)  # a row per line
     # Slots 0-3 weigh their own line; surface slot 5 - d weighs line d < 2.
-    line_weights = SLOTS[0][1][:, None, None]
-    surface_weights = SLOTS[4][1][:, None, None]
+    line_weights = LINE_CENTER_WEIGHTS[:, None, None]
+    surface_weights = SURFACE_CENTER_WEIGHTS[:, None, None]
     line_index = np.arange(4)[:, None, None]
     flat = values.reshape(-1, channels)
 
@@ -181,7 +184,7 @@ def _jacobi_rounds(values: np.ndarray, degraded: np.ndarray, max_passes: int):
         # w0*v0 + w1*v1 + w2*v2 + w3*v3, only starting from +0. That can
         # turn a -0 prediction into +0, as the slot sum below, also
         # started from +0, does anyway.
-        preds = np.zeros((len(SLOTS), cells.size, channels), dtype=np.float64)
+        preds = np.zeros((6, cells.size, channels), dtype=np.float64)
         for d in range(4):
             at = np.flatnonzero(complete[d])
             v = np.take(flat, taps[d] + cells[at], axis=0)

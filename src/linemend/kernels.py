@@ -39,20 +39,6 @@ LINE_CENTER_WEIGHTS = np.array([-1.0 / 6.0, 2.0 / 3.0, 2.0 / 3.0, -1.0 / 6.0])
 #: two central samples of four, at distances 1.5, 0.5, 0.5 and 1.5.
 SURFACE_CENTER_WEIGHTS = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
 
-#: The six predictor slots, in the order their predictions are summed:
-#: (the directions whose lines must be complete, the weights of the four
-#: taps of the first of those lines). Slots 0-3 are the four lines;
-#: slots 4 and 5 are the vertical and the horizontal surface, each
-#: weighing its axis line but needing both diagonals.
-SLOTS = (
-    ((0,), LINE_CENTER_WEIGHTS),
-    ((1,), LINE_CENTER_WEIGHTS),
-    ((2,), LINE_CENTER_WEIGHTS),
-    ((3,), LINE_CENTER_WEIGHTS),
-    ((1, 2, 3), SURFACE_CENTER_WEIGHTS),
-    ((0, 2, 3), SURFACE_CENTER_WEIGHTS),
-)
-
 
 def predict_line_center(line) -> float:
     """Predict the missing center of a five-pixel line from its four known samples.

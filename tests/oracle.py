@@ -6,7 +6,7 @@ builds the flared ("hyperbolic") 12-pixel selections, refines them by
 separable Keys cubic-convolution midpoint upsampling and reads the
 surface centers off the refined grids. A surface's availability here
 comes from whether its selection could be built, not from the engine's
-slot table, so agreement between the two is an independent check.
+availability rule, so agreement between the two is an independent check.
 
 It also holds the scratch rasterizer's reference: Bresenham's
 error-term loop, one pixel per step.
@@ -151,22 +151,6 @@ class Neighborhood:
         }
 
 
-@dataclass(frozen=True)
-class PredictionBundle:
-    """Up to six candidate intensities for one target pixel.
-
-    ``line_predictions`` holds one optional value per direction (after
-    outlier replacement, when applicable); ``surface_predictions`` holds
-    the optional vertical- and horizontal-matrix centers.
-    """
-
-    line_predictions: tuple[float | None, float | None, float | None, float | None]
-    surface_predictions: tuple[float | None, float | None]
-
-    def slots(self) -> list[float]:
-        return [v for v in (*self.line_predictions, *self.surface_predictions) if v is not None]
-
-
 def _as_plane(values, channel: int) -> np.ndarray:
     if isinstance(values, Image):
         return values.data[:, :, channel]
@@ -220,21 +204,12 @@ def replace_most_deviant(predictions) -> np.ndarray:
 def predict_pixel(neighborhood: Neighborhood) -> float | None:
     """Aggregate every available predictor into one unclamped intensity.
 
-    Returns None when no predictor slot is available. This is the scalar
-    reference path; run_pass computes the same quantity vectorized.
+    The slots are the four line predictions, in direction order and after
+    outlier replacement when all four exist, then the vertical- and the
+    horizontal-matrix centers. Returns None when no slot is available.
+    This is the scalar reference path; run_pass computes the same
+    quantity vectorized.
     """
-    bundle = prediction_bundle(neighborhood)
-    slots = bundle.slots()
-    if not slots:
-        return None
-    total = 0.0
-    for v in slots:
-        total += v
-    return total / len(slots)
-
-
-def prediction_bundle(neighborhood: Neighborhood) -> PredictionBundle:
-    """Assemble the line and surface predictions for one neighborhood."""
     vals, avail = neighborhood.values, neighborhood.available
     line: list[float | None] = []
     for d in range(4):
@@ -243,13 +218,15 @@ def prediction_bundle(neighborhood: Neighborhood) -> PredictionBundle:
     if all(v is not None for v in line):
         line = list(replace_most_deviant(line))
     mapping = neighborhood.as_mapping()
-    vmat = vertical_selection(mapping)
-    hmat = horizontal_selection(mapping)
-    surfaces = (
-        upsample_center(vmat) if vmat is not None else None,
-        upsample_center(hmat) if hmat is not None else None,
-    )
-    return PredictionBundle(line_predictions=tuple(line), surface_predictions=surfaces)
+    matrices = (vertical_selection(mapping), horizontal_selection(mapping))
+    surfaces = [upsample_center(m) if m is not None else None for m in matrices]
+    slots = [v for v in line + surfaces if v is not None]
+    if not slots:
+        return None
+    total = 0.0
+    for v in slots:
+        total += v
+    return total / len(slots)
 
 
 def line_points(r0: int, c0: int, r1: int, c1: int) -> tuple[np.ndarray, np.ndarray]:

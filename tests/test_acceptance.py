@@ -24,7 +24,7 @@ from linemend import (
     ssim,
 )
 from linemend.cli import format_sweep_csv, main, run_sweep
-from linemend.kernels import SLOTS
+from linemend.kernels import SURFACE_CENTER_WEIGHTS
 
 from conftest import spearman
 from oracle import upsample_center
@@ -94,8 +94,8 @@ def test_criterion_2_surface_center_closed_form():
         horz2[1, :] = horz[1, :]
         if upsample_center(vert2) != cv or upsample_center(horz2) != ch:
             flare_invariant = False
-    # The engine's surface slots (4: vertical, 5: horizontal) use this w.
-    engine_weights_exact = all(np.array_equal(SLOTS[s][1], w) for s in (4, 5))
+    # The engine's surface slots multiply their axis line by this w.
+    engine_weights_exact = np.array_equal(SURFACE_CENTER_WEIGHTS, w)
     _report(
         "2 surface-center-closed-form",
         worst <= 1e-12 and flare_invariant and engine_weights_exact,

@@ -1,7 +1,9 @@
 """Engine tests: the per-pixel contracts of the reference in oracle.py,
-the vectorized pass against it (its filled set against the lines that
-the reference's gathering finds complete), pass scheduling, the fallback
-against one window oracle, byte for byte, and whole-run invariants."""
+the vectorized pass against it, pass scheduling, the fallback against
+one window oracle, byte for byte, and whole runs against the run_pass
+loop and that oracle, with the invariants a run keeps (round chunk
+size, samples under the mask, channels, inputs) checked on the same
+generated cases."""
 
 import hashlib
 import tracemalloc
@@ -217,22 +219,6 @@ def test_fill_round_reads_only_known_pixels():
         assert values[~missing].tobytes() == known[~missing].tobytes()
 
 
-@settings(max_examples=60, deadline=None)
-@example(height=3, width=2, channels=3, density=0.5, seed=0)
-@given(
-    height=st.integers(1, 24),
-    width=st.integers(1, 24),
-    channels=st.sampled_from([1, 3]),
-    density=st.floats(0.05, 0.9),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_chunked_rounds_match_one_chunk(height, width, channels, density, seed):
-    rng = np.random.default_rng(seed)
-    missing = rng.random((height, width)) < density
-    values = rng.uniform(0.0, 255.0, (height, width, channels))
-    assert_chunk_size_is_invisible(values, missing)
-
-
 def residual_holes(state, holes, missing):
     """The residual holes of the state grid and hole list that
     _jacobi_rounds returned for the missing set ``missing``, as a mask,
@@ -250,25 +236,6 @@ def residual_holes(state, holes, missing):
     assert (np.diff(holes) > 0).all()
     assert np.array_equal(_cells(holes, missing.shape[1]), np.flatnonzero(residual))
     return residual
-
-
-def assert_chunk_size_is_invisible(values, missing):
-    """A round reads only pixels known before it, so committing each chunk
-    before the next changes neither a value's bytes nor the round it is
-    filled in, whatever the chunk size; nor does the number of slices its
-    near-fill flags are set in."""
-    want = values.copy()
-    fill_counts, state, holes = _jacobi_rounds(want, missing, 64)
-    residual = residual_holes(state, holes, missing)
-    assert sum(fill_counts) + residual.sum() == missing.sum()
-    for chunk in (1, 5, 64):
-        got = values.copy()
-        with mock.patch.object(engine, "_ROUND_CHUNK", chunk):
-            result = _jacobi_rounds(got, missing, 64)
-        assert got.tobytes() == want.tobytes()
-        assert result[0] == fill_counts
-        assert np.array_equal(result[1], state)
-        assert np.array_equal(result[2], holes)
 
 
 def test_jacobi_rounds_peak_on_sparse_holes():
@@ -368,19 +335,6 @@ def test_run_pass_three_wide_band_fills_nothing():
     assert report.fallback_filled == int(missing.sum())
 
 
-def test_run_pass_filled_set_matches_brute_oracle():
-    # A hole is filled exactly when one of its four lines has all four
-    # pixels in bounds and known, read from the oracle's gathering.
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        missing = rng.random((14, 14)) < 0.35
-        values = rng.uniform(0.0, 255.0, (14, 14))
-        _, filled = run_pass(values, missing)
-        for r, c in np.ndindex(14, 14):
-            lines = gather_neighborhood(values, missing, (r, c)).available.reshape(4, 4)
-            assert filled[r, c] == (missing[r, c] and lines.all(axis=1).any())
-
-
 @st.composite
 def pass_cases(draw):
     """Random states with values in [-40, 300], so the clamp acts, and
@@ -422,6 +376,7 @@ def test_run_pass_matches_scalar_reference(case):
     # missing pixel.
     values, missing = case
     new_values, filled = run_pass(values, missing)
+    assert not filled[~missing].any()
     for r, c in zip(*np.nonzero(missing)):
         for ch in range(values.shape[2]):
             want = predict_pixel(gather_neighborhood(values, missing, (r, c), ch))
@@ -509,16 +464,17 @@ def reference_rounds(image, mask, config, workers):
 
 @st.composite
 def masked_images(draw):
-    """Random images under either i.i.d. holes or 1-3 scratches of width
-    1-4; both reach the image border."""
-    height = draw(st.integers(16, 28))
-    width = draw(st.integers(16, 28))
+    """Random images under either 1-3 scratches of width 1-4, 16-28 pixels
+    a side, or i.i.d. holes, 1-28 pixels a side; both reach the image
+    border."""
     channels = draw(st.sampled_from([1, 3]))
     seed = draw(st.integers(0, 2**32 - 1))
     if draw(st.booleans()):
+        height, width = draw(st.integers(16, 28)), draw(st.integers(16, 28))
         spec = LineSpec(count=draw(st.integers(1, 3)), width=draw(st.integers(1, 4)), seed=seed)
         mask = generate_line_mask(width, height, spec)
     else:
+        height, width = draw(st.integers(1, 28)), draw(st.integers(1, 28))
         density = draw(st.floats(0.05, 0.6))
         mask = Mask(np.random.default_rng(seed).random((height, width)) < density)
     values = np.random.default_rng([seed, 1]).uniform(0.0, 255.0, (height, width, channels))
@@ -543,15 +499,6 @@ def switching_band():
     return Image(values), Mask(band | (np.random.default_rng(124).random((24, 48)) < 0.1))
 
 
-@pytest.mark.parametrize("case", [creeping_band, switching_band])
-def test_chunked_rounds_match_one_chunk_on_bands(case):
-    # Width-2 scratches, as in the scratch workload: chunks of 1 and 5 send
-    # flagged rounds through several flag slices, and through chunks with
-    # and without a hole whose four lines are all complete.
-    image, mask = case()
-    assert_chunk_size_is_invisible(image.data, mask.degraded)
-
-
 def test_creeping_band_hits_low_pass_cap():
     image, mask = creeping_band()
     _, residual, fills = reference_rounds(image, mask, EngineConfig(max_passes=8), workers=1)
@@ -564,25 +511,32 @@ def test_creeping_band_hits_low_pass_cap():
 @example(case=switching_band(), max_passes=64, workers=1)
 @given(case=masked_images(), max_passes=st.sampled_from([1, 2, 64]), workers=st.sampled_from([1, 2]))
 def test_inpaint_report_matches_run_pass_loop(case, max_passes, workers):
+    # The report is the run_pass loop's and the window oracle's, and it
+    # stays the same, byte for byte, whatever the round chunk size, the
+    # samples stored under the mask or the other channels; the inputs are
+    # left as they were.
     image, mask = case
     config = EngineConfig(max_passes=max_passes)
+    data, degraded = image.data.copy(), mask.degraded.copy()
     values, residual, fills = reference_rounds(image, mask, config, workers)
     report = inpaint_report(image, mask, config, workers=workers)
-    assert report.image.data.tobytes() == fallback_oracle(values, residual).tobytes()
-    assert report.passes == len(fills)
+    want = report.image.data.tobytes()
+    assert want == fallback_oracle(values, residual).tobytes()
     assert report.pass_fill_counts == fills
     assert report.fallback_filled == residual.sum()
-
-
-def test_inpaint_report_leaves_inputs_unmodified():
-    rng = np.random.default_rng(12)
-    image = Image(rng.uniform(0.0, 255.0, (24, 24, 3)))
-    mask = Mask(rng.random((24, 24)) < 0.3)
-    data_before, degraded_before = image.data.copy(), mask.degraded.copy()
-    report = inpaint_report(image, mask, workers=2)
-    assert report.predictor_filled > 0
-    assert np.array_equal(image.data, data_before)
-    assert np.array_equal(mask.degraded, degraded_before)
+    assert image.data.tobytes() == data.tobytes()
+    assert np.array_equal(mask.degraded, degraded)
+    for chunk in (1, 5, 64):
+        with mock.patch.object(engine, "_ROUND_CHUNK", chunk):
+            again = inpaint_report(image, mask, config)
+        assert again.image.data.tobytes() == want, chunk
+        assert (again.pass_fill_counts, again.fallback_filled) == (fills, report.fallback_filled), chunk
+    for stored in (-0.0, 1e300):
+        data[degraded] = stored
+        assert inpaint(Image(data), mask, config).data.tobytes() == want, stored
+    for ch in range(data.shape[2]):
+        alone = inpaint(Image(image.data[:, :, ch]), mask, config).data
+        assert alone.tobytes() == report.image.data[:, :, ch].tobytes(), ch
 
 
 def test_library_outputs_are_not_scanned_again():
@@ -665,19 +619,6 @@ def test_inpaint_single_pixel_image():
     assert out.data[0, 0, 0] == 128.0
 
 
-def test_inpaint_ignores_stored_values_under_mask():
-    rng = np.random.default_rng(14)
-    clean = rng.uniform(0.0, 255.0, (16, 16, 1))
-    missing = rng.random((16, 16)) < 0.2
-    poisoned = clean.copy()
-    poisoned[missing] = 9999.0
-    zeroed = clean.copy()
-    zeroed[missing] = 0.0
-    out_a = inpaint(Image(poisoned), Mask(missing))
-    out_b = inpaint(Image(zeroed), Mask(missing))
-    assert np.array_equal(out_a.data[missing], out_b.data[missing])
-
-
 def test_inpaint_monotone_progress():
     rng = np.random.default_rng(19)
     img = Image(rng.uniform(0.0, 255.0, (32, 32)))
@@ -687,16 +628,6 @@ def test_inpaint_monotone_progress():
     counts = report.pass_fill_counts
     assert all(n > 0 for n in counts[:-1])
     assert report.predictor_filled + report.fallback_filled == int(missing.sum())
-
-
-def test_inpaint_channel_independence():
-    rng = np.random.default_rng(23)
-    img = Image(rng.uniform(0.0, 255.0, (18, 18, 3)))
-    missing = rng.random((18, 18)) < 0.3
-    combined = inpaint(img, Mask(missing))
-    for ch in range(3):
-        single = inpaint(Image(img.data[:, :, ch]), Mask(missing))
-        assert np.array_equal(combined.data[:, :, ch], single.data[:, :, 0])
 
 
 def test_fallback_growing_window_oracle():
@@ -719,13 +650,9 @@ def fallback_fill(values, missing):
 
 
 def _check_fallback(values, missing):
-    # The oracle's bytes, with the default chunks and with one hole per chunk.
-    want = fallback_oracle(values, missing).tobytes()
-    for chunk in (engine._ROUND_CHUNK, 1):
-        got = values.copy()
-        with mock.patch.object(engine, "_ROUND_CHUNK", chunk):
-            assert fallback_fill(got, missing) == missing.sum()
-        assert got.tobytes() == want
+    got = values.copy()
+    assert fallback_fill(got, missing) == missing.sum()
+    assert got.tobytes() == fallback_oracle(values, missing).tobytes()
 
 
 @settings(max_examples=120, deadline=None)
@@ -876,22 +803,20 @@ def test_fallback_means_are_clamped(channels):
 @pytest.mark.parametrize("channels", [1, 3])
 def test_fallback_ignores_residual_hole_contents(channels):
     # A residual hole's stored value never reaches a window sum: holes
-    # holding 0, -0.0, a negative number or 1e300 give the same bytes,
-    # with the default chunks and with one hole per chunk. Rows 20-29 are
-    # all holes, so holes filled at one half-width lie on the rings read
-    # at later ones, and a filled value read as known would show here.
+    # holding 0, -0.0, a negative number or 1e300 give the same bytes.
+    # Rows 20-29 are all holes, so holes filled at one half-width lie on
+    # the rings read at later ones, and a filled value read as known
+    # would show here.
     rng = np.random.default_rng(22)
     values = rng.uniform(0.0, 255.0, (48, 40, channels))
     missing = rng.random((48, 40)) < 0.4
     missing[20:30] = True
     want = fallback_oracle(values, missing).tobytes()
-    for chunk in (engine._ROUND_CHUNK, 1):
-        with mock.patch.object(engine, "_ROUND_CHUNK", chunk):
-            for stored in (0.0, -0.0, -7.5, 1e300):
-                got = values.copy()
-                got[missing] = stored
-                fallback_fill(got, missing)
-                assert got.tobytes() == want
+    for stored in (0.0, -0.0, -7.5, 1e300):
+        got = values.copy()
+        got[missing] = stored
+        fallback_fill(got, missing)
+        assert got.tobytes() == want
 
 
 @pytest.fixture(scope="module")
@@ -1066,13 +991,12 @@ def test_default_output_is_pinned():
 
     A change that must not move the output (a refactor, a speed-up) keeps
     these digests; a deliberate change of output updates them and says so
-    in CHANGES.md. The fill chunk size must not matter either.
+    in CHANGES.md. That the round chunk size does not move the output is
+    test_inpaint_report_matches_run_pass_loop's to check.
     """
-    for chunk in (engine._ROUND_CHUNK, 1):
-        got = {}
-        with mock.patch.object(engine, "_ROUND_CHUNK", chunk):
-            for name, image, mask in _pinned_cases():
-                report = inpaint_report(image, mask)
-                summary = repr((report.pass_fill_counts, report.fallback_filled)).encode()
-                got[name] = hashlib.sha256(report.image.data.tobytes() + summary).hexdigest()[:16]
-        assert got == _PINNED_DIGESTS, (chunk, got)
+    got = {}
+    for name, image, mask in _pinned_cases():
+        report = inpaint_report(image, mask)
+        summary = repr((report.pass_fill_counts, report.fallback_filled)).encode()
+        got[name] = hashlib.sha256(report.image.data.tobytes() + summary).hexdigest()[:16]
+    assert got == _PINNED_DIGESTS, got

@@ -1,4 +1,4 @@
-"""Kernel-level tests of the route that oracle.prediction_bundle takes:
+"""Kernel-level tests of the route that oracle.predict_pixel takes:
 the line predictor, the hyperbolic selections (vertical_selection and
 horizontal_selection) and the Keys midpoint upsampling whose center
 upsample_center reads. Derived values are checked against independent

@@ -237,17 +237,6 @@ _STRIP_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("height, width, pixels", _STRIP_RUNS)
-def test_ssim_strip_runs_equal_oracle(height, width, pixels):
-    reference, test = _pair_differing_at(height, width, pixels)
-    with mock.patch.object(metrics, "_ssim_map", wraps=metrics._ssim_map) as scored:
-        assert ssim(reference, test) == ssim_oracle(reference, test)
-    # Slices a multiple of 8 pixels wide match the oracle window for
-    # window (test_score_grid_equals_oracle_map_on_strip_runs).
-    widths = [call.args[0].shape[1] for call in scored.call_args_list]
-    assert widths and all(w % 8 == 0 and w <= 64 for w in widths), widths
-
-
 @pytest.mark.parametrize("width", range(11, 16))
 def test_ssim_slice_capped_at_a_narrow_image(width):
     # Any run's slice rounds up to at least 16 pixels, more than the image
@@ -347,7 +336,11 @@ def test_score_grid_equals_oracle_map_on_width_cells(natural512):
 @pytest.mark.parametrize("height, width, pixels", _STRIP_RUNS)
 def test_score_grid_equals_oracle_map_on_strip_runs(height, width, pixels):
     reference, test = _pair_differing_at(height, width, pixels)
-    assert metrics._score_grid(reference, test).tobytes() == ssim_oracle_map(reference, test).tobytes()
+    with mock.patch.object(metrics, "_ssim_map", wraps=metrics._ssim_map) as scored:
+        assert metrics._score_grid(reference, test).tobytes() == ssim_oracle_map(reference, test).tobytes()
+    # Each run is scored in slices a multiple of 8 pixels wide, at most 64.
+    widths = [call.args[0].shape[1] for call in scored.call_args_list]
+    assert widths and all(w % 8 == 0 and w <= 64 for w in widths), widths
 
 
 def test_score_grid_equals_oracle_map_on_an_rgb_pair():
