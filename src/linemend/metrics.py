@@ -7,15 +7,22 @@ are scored on their luminance. The mean is still over all valid windows,
 but only the windows that touch a pixel where the two images differ are
 evaluated, a strip of 16 window rows and a slice of at most 64 pixel
 columns at a time: every other window scores exactly 1.0.
+
+Neither metric makes a float array the size of the image. PSNR sums
+squared differences a block of rows at a time, in one reused buffer of
+at most 256 KiB or one row. SSIM sums its window scores a strip at a
+time, so it holds one strip of scores and one slice, besides a mask of
+one bool per pixel that marks where the images differ.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
-from .raster import DimensionMismatch, Image, require_same_grid
+from .raster import DimensionMismatch, Image, _block_rows, require_same_grid
 
 PEAK = 255.0
 _WINDOW = 11
@@ -34,9 +41,23 @@ def _require_comparable(reference: Image, test: Image) -> None:
 
 
 def psnr(reference: Image, test: Image) -> float:
-    """Peak signal-to-noise ratio in dB; +inf when the images are identical."""
+    """Peak signal-to-noise ratio in dB; +inf when the images are identical.
+
+    The squared differences are summed a block of rows at a time, in one
+    buffer of at most 256 KiB (or one row, if a row is larger), so memory
+    does not grow with the image's height. Rows are sliced, never
+    flattened, so an image whose samples are not contiguous is not copied.
+    """
     _require_comparable(reference, test)
-    mse = float(np.mean((reference.data - test.data) ** 2))
+    ref, tst = reference.data, test.data
+    rows = _block_rows(ref)
+    squares = np.empty(ref[:rows].shape)
+    total = 0.0
+    for start in range(0, len(ref), rows):
+        block = squares[: len(ref) - start]
+        np.subtract(ref[start : start + rows], tst[start : start + rows], out=block)
+        total += np.add.reduce(np.square(block, out=block), axis=None)
+    mse = float(total) / ref.size
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(PEAK * PEAK / mse)
@@ -112,16 +133,19 @@ def ssim(reference: Image, test: Image) -> float:
     width is a multiple of 8, so the two agree bit for bit. A slice's
     five planes (x, y, x^2, y^2, xy) are written into one buffer, whose
     window views are built on it directly, and the buffer is freed once
-    its means are taken, before the score arithmetic. Memory is the grid
-    of window scores plus one slice of at most 64 pixel columns,
-    whatever the difference.
+    its means are taken, before the score arithmetic. The mean is summed
+    a strip at a time, top to bottom, so memory is one strip of window
+    scores plus one slice of at most 64 pixel columns, whatever the
+    difference, besides the mask of one bool per pixel that marks where
+    the images differ (a color pair makes one bool per sample first).
     """
-    return float(_score_grid(reference, test).mean())
+    total = sum(np.add.reduce(scores, axis=None) for scores in _score_strips(reference, test))
+    return float(total / ((reference.height - _WINDOW + 1) * (reference.width - _WINDOW + 1)))
 
 
-def _score_grid(reference: Image, test: Image) -> np.ndarray:
-    """The SSIM of every valid window position, a (height - 10, width -
-    10) grid; see ssim."""
+def _score_strips(reference: Image, test: Image) -> Iterator[np.ndarray]:
+    """Yield the SSIM of every valid window position, top to bottom, a
+    block of up to 16 window rows by width - 10 at a time; see ssim."""
     _require_comparable(reference, test)
     height, width = reference.height, reference.width
     if height < _WINDOW or width < _WINDOW:
@@ -130,10 +154,10 @@ def _score_grid(reference: Image, test: Image) -> np.ndarray:
         )
     ref, tst = reference.data, test.data
     differs = (ref != tst).any(axis=2)
-    grid = np.ones((height - _WINDOW + 1, width - _WINDOW + 1))
     footprint = np.ones(_WINDOW)
     for top in range(0, height - _WINDOW + 1, _STRIP):
         rows = slice(top, top + _STRIP + _WINDOW - 1)
+        scores = np.ones((min(_STRIP, height - _WINDOW + 1 - top), width - _WINDOW + 1))
         # Window columns whose footprint in the strip holds a differing
         # pixel, and the edges of their runs.
         dirty = np.convolve(differs[rows].any(axis=0), footprint, "valid") > 0
@@ -147,8 +171,8 @@ def _score_grid(reference: Image, test: Image) -> np.ndarray:
                 span = min(-(-(stop - first + _WINDOW - 1) // 8) * 8, _SPAN, width)
                 left = min(first, width - span)
                 cols = slice(left, left + span)
-                grid[top : top + _STRIP, left : left + span - _WINDOW + 1] = _ssim_map(
+                scores[:, left : left + span - _WINDOW + 1] = _ssim_map(
                     _luminance(ref[rows, cols]), _luminance(tst[rows, cols])
                 )
                 first = left + span - _WINDOW + 1
-    return grid
+        yield scores

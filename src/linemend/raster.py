@@ -173,9 +173,15 @@ def load_pnm(path: str | os.PathLike) -> Image:
     return Image(_read_pnm(path))
 
 
-# Bytes of float64 samples in one block of save_pnm's rows, small enough
-# that its range check and its quantization read it from cache.
-_SAVE_BLOCK_BYTES = 1 << 18
+# Bytes of float64 samples in one block of rows, small enough that
+# save_pnm's range check and quantization, and psnr's squared
+# differences, read it from cache.
+_BLOCK_BYTES = 1 << 18
+
+
+def _block_rows(data: np.ndarray) -> int:
+    """Rows of ``data`` in one block of at most _BLOCK_BYTES; at least one."""
+    return max(_BLOCK_BYTES // data[0].nbytes, 1)
 
 
 def save_pnm(image: Image, path: str | os.PathLike) -> None:
@@ -188,10 +194,9 @@ def save_pnm(image: Image, path: str | os.PathLike) -> None:
     nothing is written unless every sample is in range.
     """
     data = image.data
-    height, width, channels = data.shape
-    rows = max(_SAVE_BLOCK_BYTES // (width * channels * data.itemsize), 1)
+    rows = _block_rows(data)
     quantized = np.empty(data.shape, dtype=np.uint8)
-    for start in range(0, height, rows):
+    for start in range(0, len(data), rows):
         block = data[start : start + rows]
         if block.min() < 0.0 or block.max() > 255.0:
             raise ValueError(

@@ -56,6 +56,17 @@ def ssim_oracle(reference, test):
     return float(ssim_oracle_map(reference, test).mean())
 
 
+def score_grid(reference, test):
+    """ssim's window scores, its strips stacked top to bottom."""
+    return np.concatenate(list(metrics._score_strips(reference, test)))
+
+
+def strip_mean(scores):
+    """The mean of a window-score grid summed as ssim sums it: each strip
+    of 16 window rows reduced alone, the strips added top to bottom."""
+    return float(sum(np.add.reduce(scores[top : top + 16], axis=None) for top in range(0, len(scores), 16)) / scores.size)
+
+
 def test_psnr_identical_is_inf():
     img = Image(np.arange(144.0).reshape(12, 12) % 256)
     assert psnr(img, img) == math.inf
@@ -76,9 +87,15 @@ def test_psnr_full_swing_is_zero():
 
 def test_psnr_matches_mse_oracle():
     rng = np.random.default_rng(15)
-    for _ in range(30):
-        a = rng.uniform(0.0, 255.0, (10, 12, 3))
-        b = rng.uniform(0.0, 255.0, (10, 12, 3))
+    pairs = [(rng.uniform(0.0, 255.0, (10, 12, 3)), rng.uniform(0.0, 255.0, (10, 12, 3))) for _ in range(30)]
+    # 18 rows of 600 RGB pixels fill a 256 KiB block, so 700 rows are 38
+    # full blocks and a partial one of 16 rows.
+    a = rng.uniform(0.0, 255.0, (700, 600, 3))
+    b = a + rng.normal(0.0, 3.0, a.shape)
+    # Then every other column of them: samples that are not contiguous.
+    pairs += [(a, b), (a[:, ::2], b[:, ::2])]
+    assert not Image(a[:, ::2]).data.flags.c_contiguous
+    for a, b in pairs:
         want = 10.0 * math.log10(255.0**2 / np.mean((a - b) ** 2))
         assert abs(psnr(Image(a), Image(b)) - want) <= 1e-9
 
@@ -88,6 +105,25 @@ def test_psnr_symmetric():
     a = Image(rng.uniform(0.0, 255.0, (9, 9)))
     b = Image(rng.uniform(0.0, 255.0, (9, 9)))
     assert psnr(a, b) == psnr(b, a)
+
+
+def test_psnr_peak_memory_is_one_block():
+    # The squared differences of a whole image take 2.1 MB on the gray
+    # pair, read through a view of every other column, and 25 MB on the
+    # RGB pair; one block of rows takes at most 0.26 MB.
+    rng = np.random.default_rng(17)
+    gray = rng.uniform(0.0, 255.0, (2, 512, 1024))
+    color = rng.uniform(0.0, 255.0, (2, 1024, 1024, 3))
+    color[1][rng.random((1024, 1024)) < 0.1] = 0.0
+    for reference, test in ((gray[0][:, ::2], gray[1][:, ::2]), (color[0], color[1])):
+        reference, test = Image(reference), Image(test)
+        tracemalloc.start()
+        try:
+            psnr(reference, test)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e5, (reference.data.shape, peak)
 
 
 def test_psnr_dimension_mismatch():
@@ -190,7 +226,7 @@ def test_ssim_unrelated_images_equal_oracle():
     rng = np.random.default_rng(30)
     a = Image(rng.uniform(0.0, 255.0, (96, 120, 3)))
     b = Image(rng.uniform(0.0, 255.0, (96, 120, 3)))
-    assert metrics._score_grid(a, b).tobytes() == ssim_oracle_map(a, b).tobytes()
+    assert score_grid(a, b).tobytes() == ssim_oracle_map(a, b).tobytes()
 
 
 def test_ssim_line_count_cells_equal_oracle(natural512):
@@ -198,7 +234,7 @@ def test_ssim_line_count_cells_equal_oracle(natural512):
     for count, seed in ((8, 1), (9, 1), (10, 0), (10, 1)):
         mask = generate_line_mask(512, 512, LineSpec(count=count, width=1, seed=seed))
         restored = inpaint(apply_mask(natural512, mask), mask)
-        got = metrics._score_grid(natural512, restored)
+        got = score_grid(natural512, restored)
         assert got.tobytes() == ssim_oracle_map(natural512, restored).tobytes(), (count, seed)
 
 
@@ -208,7 +244,7 @@ def test_ssim_width9_and_shifted_pairs_equal_oracle(natural512):
     # The second pair differs everywhere, so every strip is one run of
     # all 502 window columns.
     for test in (restored, Image(natural512.data + 1.0)):
-        assert metrics._score_grid(natural512, test).tobytes() == ssim_oracle_map(natural512, test).tobytes()
+        assert score_grid(natural512, test).tobytes() == ssim_oracle_map(natural512, test).tobytes()
 
 
 def _pair_differing_at(height, width, pixels, seed=40):
@@ -271,14 +307,14 @@ def test_ssim_peak_memory_on_a_wide_line_cell(natural512):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The grid of window scores takes 2.0 MB; the rest is the difference
-    # mask and one slice.
-    assert peak < 4.0e6, peak
+    # A grid of all the window scores would take 2.0 MB; one strip of them
+    # takes 64 KB, the difference mask 0.26 MB, and the rest is one slice.
+    assert peak < 1.0e6, peak
 
 
 def test_ssim_memory_does_not_follow_dirty_tiles(natural512):
     # 21, 54 and 81 runs, then one run per strip across the whole image:
-    # memory is the score grid plus one slice of at most 64 pixels, so
+    # memory is one strip of scores plus one slice of at most 64 pixels, so
     # every call peaks alike.
     changed = []
     for count in (4, 6, 10):
@@ -328,16 +364,16 @@ def test_score_grid_equals_oracle_map_on_width_cells(natural512):
             mask = generate_line_mask(512, 512, LineSpec(count=2, width=width, seed=seed))
             restored = inpaint(apply_mask(natural512, mask), mask)
             want = ssim_oracle_map(natural512, restored)
-            assert metrics._score_grid(natural512, restored).tobytes() == want.tobytes(), (width, seed)
-            # ssim is its grid's mean, as ssim_oracle is the oracle map's.
-            assert ssim(natural512, restored) == float(want.mean()), (width, seed)
+            assert score_grid(natural512, restored).tobytes() == want.tobytes(), (width, seed)
+            # ssim is its scores' mean, summed strip by strip.
+            assert ssim(natural512, restored) == strip_mean(want), (width, seed)
 
 
 @pytest.mark.parametrize("height, width, pixels", _STRIP_RUNS)
 def test_score_grid_equals_oracle_map_on_strip_runs(height, width, pixels):
     reference, test = _pair_differing_at(height, width, pixels)
     with mock.patch.object(metrics, "_ssim_map", wraps=metrics._ssim_map) as scored:
-        assert metrics._score_grid(reference, test).tobytes() == ssim_oracle_map(reference, test).tobytes()
+        assert score_grid(reference, test).tobytes() == ssim_oracle_map(reference, test).tobytes()
     # Each run is scored in slices a multiple of 8 pixels wide, at most 64.
     widths = [call.args[0].shape[1] for call in scored.call_args_list]
     assert widths and all(w % 8 == 0 and w <= 64 for w in widths), widths
@@ -349,6 +385,6 @@ def test_score_grid_equals_oracle_map_on_an_rgb_pair():
     reference = Image(np.stack([natural_image(96, 136, seed).data[:, :, 0] for seed in (7, 8, 9)], axis=2))
     mask = generate_line_mask(136, 96, LineSpec(count=3, width=3, seed=5))
     restored = inpaint(apply_mask(reference, mask), mask)
-    got = metrics._score_grid(reference, restored)
+    got = score_grid(reference, restored)
     assert got.shape == (86, 126)
     assert got.tobytes() == ssim_oracle_map(reference, restored).tobytes()
